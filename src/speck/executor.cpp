@@ -17,64 +17,4 @@ SpGemmResult SpeckExecutor::execute(const SpeckPlan& plan, const Csr& a,
   return speck_.multiply_with_plan(plan, a, b);
 }
 
-SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b) {
-  SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
-
-  KernelContext ctx;
-  ctx.a = &a;
-  ctx.b = &b;
-  ctx.cfg = &speck.config();
-  ctx.configs = &speck.configs();
-  ctx.device = &speck.device();
-  ctx.model = &speck.cost_model();
-  ctx.wide_keys = b.cols() > kMaxColumns32Bit;
-  ctx.pool = speck.host_pool();
-  ctx.workspaces = &speck.workspaces();
-  ctx.simd = simd::resolve_backend(speck.config().simd_backend);
-  // Same two-level execution as multiply(): bit-identical estimate at any
-  // partition count (no diag sink — pass-local team workspaces suffice).
-  ctx.partitions = resolve_partitions(speck.config().partitions);
-  ctx.partition_steal = speck.config().partition_steal;
-
-  SymbolicEstimate estimate;
-
-  // Analysis.
-  sim::Launch analysis_launch("row_analysis", speck.device(), speck.cost_model());
-  const RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool);
-  ctx.analysis = &analysis;
-  estimate.products = analysis.total_products;
-  estimate.seconds += analysis_launch.finish().seconds;
-
-  // Symbolic load balancing + symbolic pass.
-  sim::Launch symbolic_lb("symbolic_lb", speck.device(), speck.cost_model());
-  const BinPlan symbolic_plan =
-      plan_global_lb({std::span<const offset_t>(analysis.products), true},
-                     speck.configs(), speck.config(), symbolic_lb);
-  if (symbolic_plan.used_load_balancer) {
-    estimate.seconds += symbolic_lb.finish().seconds;
-  }
-  SymbolicOutcome symbolic = run_symbolic(ctx, symbolic_plan);
-  estimate.seconds += symbolic.stats.seconds;
-
-  // Numeric load balancing (exact sizes known) — part of what the numeric
-  // pass would consume, and of what the old inspect() charged.
-  std::vector<offset_t> numeric_entries(symbolic.row_nnz.size());
-  for (std::size_t r = 0; r < symbolic.row_nnz.size(); ++r) {
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(symbolic.row_nnz[r]) / speck.config().max_numeric_fill +
-        1.0);
-  }
-  sim::Launch numeric_lb("numeric_lb", speck.device(), speck.cost_model());
-  const BinPlan numeric_plan =
-      plan_global_lb({std::span<const offset_t>(numeric_entries), false},
-                     speck.configs(), speck.config(), numeric_lb);
-  if (numeric_plan.used_load_balancer) {
-    estimate.seconds += numeric_lb.finish().seconds;
-  }
-
-  for (const index_t nnz : symbolic.row_nnz) estimate.c_nnz += nnz;
-  estimate.row_nnz = std::move(symbolic.row_nnz);
-  return estimate;
-}
-
 }  // namespace speck

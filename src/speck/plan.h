@@ -190,6 +190,12 @@ struct SpeckPlan {
 /// spending any planning work. O(nnz(A)).
 std::size_t estimate_plan_bytes(const Csr& a, const Csr& b);
 
+/// True when the nnz of A, B and C all fit the 31-bit value slots of the
+/// replay program (NumericReplayProgram::kAssignFirst takes the top bit).
+/// A structure that fails it is never cached and its plan stays incomplete.
+bool replay_indices_fit(std::uint64_t a_nnz, std::uint64_t b_nnz,
+                        std::uint64_t c_nnz);
+
 /// Builds the values-only replay program for a numeric plan: walks the
 /// blocks exactly like run_numeric (same method selection, same A-row-outer
 /// / B-row-inner order) and records, per intermediate product, the value
@@ -197,8 +203,8 @@ std::size_t estimate_plan_bytes(const Csr& a, const Csr& b);
 /// product assigns or accumulates (hash/direct rows assign their first
 /// touch, dense rows add into a zero-initialized window). Parallelized over
 /// C rows; the result is independent of the thread count. Requires the nnz
-/// of A, B and C to fit 32-bit indices — the caller checks and marks the
-/// plan incomplete otherwise.
+/// of A, B and C to pass replay_indices_fit — the caller checks and marks
+/// the plan incomplete otherwise.
 NumericReplayProgram build_replay_program(const KernelContext& ctx,
                                           const BinPlan& numeric_plan,
                                           std::span<const index_t> row_nnz,

@@ -19,6 +19,14 @@ namespace {
 // in 31 bits.
 constexpr std::uint64_t kMaxReplayIndex = 1ULL << 31;
 
+/// Where the pipeline takes the per-row C sizes that numeric binning and
+/// the C allocation run off. Each source also picks the numeric kernel.
+enum class RowSizes {
+  kSymbolic,   ///< exact symbolic pass → run_numeric
+  kEstimated,  ///< sampled estimator → run_numeric_estimated
+  kMask,       ///< min(products, mask row) → run_numeric_masked
+};
+
 void validate_multiply_inputs(const Csr& a, const Csr& b) {
   a.validate();
   b.validate();
@@ -56,6 +64,14 @@ void validate_mask_input(const Csr& a, const Csr& b, const Csr& mask,
   }
 }
 
+/// The structural fingerprint of (a, b), masked by `mask` when non-null.
+PlanFingerprint fingerprint(const Csr& a, const Csr& b, const Csr* mask,
+                            const SpeckConfig& cfg, bool with_pattern_hashes = true) {
+  return mask != nullptr
+             ? plan_fingerprint_masked(a, b, *mask, cfg, with_pattern_hashes)
+             : plan_fingerprint(a, b, cfg, with_pattern_hashes);
+}
+
 /// Why `plan` must not be replayed against (a, b) under `cfg`, or empty.
 /// Shared by the fallback (legacy) and reject (concurrent) replay entries.
 std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
@@ -70,11 +86,7 @@ std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
            "to the mask the plan was built with)";
   }
   const PlanFingerprint now =
-      mask != nullptr
-          ? plan_fingerprint_masked(a, b, *mask, cfg,
-                                    /*with_pattern_hashes=*/cfg.validate_inputs)
-          : plan_fingerprint(a, b, cfg,
-                             /*with_pattern_hashes=*/cfg.validate_inputs);
+      fingerprint(a, b, mask, cfg, /*with_pattern_hashes=*/cfg.validate_inputs);
   const bool match = cfg.validate_inputs
                          ? now.matches_full(plan.fingerprint)
                          : now.matches_quick(plan.fingerprint);
@@ -85,7 +97,398 @@ std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
   return {};
 }
 
+/// Device bytes of a CSR matrix with `rows` rows and `nnz` entries.
+std::size_t csr_bytes(index_t rows, offset_t nnz) {
+  return (static_cast<std::size_t>(rows) + 1) * sizeof(offset_t) +
+         static_cast<std::size_t>(nnz) * (sizeof(index_t) + sizeof(value_t));
+}
+
+offset_t total(std::span<const index_t> row_sizes) {
+  offset_t sum = 0;
+  for (const index_t n : row_sizes) sum += n;
+  return sum;
+}
+
+/// Simulated device memory of one multiply. An allocation that does not fit
+/// marks `result` out of memory with the reason and returns false.
+struct DeviceMemory {
+  sim::MemoryTracker tracker;
+  SpGemmResult& result;
+
+  bool allocate(std::size_t bytes, const char* reason) {
+    if (tracker.allocate(bytes)) return true;
+    result.status = SpGemmStatus::kOutOfMemory;
+    result.failure_reason = reason;
+    return false;
+  }
+
+  /// A buffer that lives for one kernel only (nothing when empty).
+  bool transient(std::size_t bytes, const char* reason) {
+    if (bytes == 0) return true;
+    if (!allocate(bytes, reason)) return false;
+    tracker.release(bytes);
+    return true;
+  }
+};
+
 }  // namespace
+
+bool replay_indices_fit(std::uint64_t a_nnz, std::uint64_t b_nnz,
+                        std::uint64_t c_nnz) {
+  return a_nnz < kMaxReplayIndex && b_nnz < kMaxReplayIndex &&
+         c_nnz < kMaxReplayIndex;
+}
+
+/// One pipeline run. Owns what every stage touches — the fault injector,
+/// the simulated device memory, the kernel context and the result under
+/// construction — and the steps each stage repeats: finishing a launch into
+/// the timeline and the trace, allocating device memory with an OOM exit,
+/// and polling for cancellation. Each step method returns false once the
+/// run has failed with a simulated OOM; `result` then says why.
+class Speck::PipelineRun {
+ public:
+  PipelineRun(Speck& speck, const Csr& a, const Csr& b, const Csr* mask,
+              RowSizes source, const CancelToken* cancel, SpeckDiagnostics& diag,
+              sim::LaunchTrace& trace)
+      : speck_(speck),
+        a_(a),
+        b_(b),
+        mask_(mask),
+        source_(source),
+        cancel_(cancel),
+        diag_(diag),
+        trace_(trace),
+        memory_{sim::MemoryTracker(speck.device_.global_memory_bytes), result} {
+    // Cooperative cancellation: polled at stage boundaries on this (the
+    // coordinating) thread only — pool workers never throw. A kernel that
+    // has started runs to completion; the check before each stage keeps an
+    // expired request from entering the next one.
+    poll("admission");
+    SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+    const SpeckConfig& cfg = speck.config_;
+    if (mask != nullptr) validate_mask_input(a, b, *mask, cfg.validate_inputs);
+    if (cfg.validate_inputs) validate_multiply_inputs(a, b);
+    if (cfg.faults.enabled()) {
+      faults_ = &injector_.emplace(cfg.faults);
+      memory_.tracker =
+          sim::MemoryTracker(faults_->cap_memory(memory_.tracker.capacity_bytes()));
+    }
+    diag = SpeckDiagnostics{};
+    diag.masked = mask != nullptr;
+    diag.estimated_planning = source == RowSizes::kEstimated;
+    diag.wide_keys = b.cols() > kMaxColumns32Bit;
+    trace.clear();
+  }
+
+  // The kernel context and the device memory point into the run itself.
+  PipelineRun(const PipelineRun&) = delete;
+  PipelineRun& operator=(const PipelineRun&) = delete;
+
+  /// Input residency and the kernel context.
+  bool start() {
+    // Input matrices are resident for the duration of the multiplication
+    // (the paper lists this as spECK's limitation, §7); so is the mask, which
+    // the numeric kernels stream row by row like B.
+    if (!memory_.allocate(
+            a_.byte_size() + b_.byte_size() + (mask_ != nullptr ? mask_->byte_size() : 0),
+            "input matrices exceed device memory")) {
+      return false;
+    }
+    ctx_.a = &a_;
+    ctx_.b = &b_;
+    ctx_.mask = mask_;
+    ctx_.cfg = &speck_.config_;
+    ctx_.configs = &speck_.kernel_configs_;
+    ctx_.device = &speck_.device_;
+    ctx_.model = &speck_.model_;
+    ctx_.wide_keys = diag_.wide_keys;
+    ctx_.trace = &trace_;
+    ctx_.pool = speck_.host_pool();
+    ctx_.workspaces = &speck_.workspaces_;
+    ctx_.faults = faults_;
+    ctx_.simd = simd::resolve_backend(speck_.config_.simd_backend);
+    ctx_.partitions = resolve_partitions(speck_.config_.partitions);
+    ctx_.partition_steal = speck_.config_.partition_steal;
+    diag_.partition.partitions = ctx_.partitions;
+    ctx_.partition_diag = &diag_.partition;
+    if (ctx_.partitions > 1) {
+      ctx_.team_workspaces = &speck_.team_workspaces_;
+      if (speck_.config_.numa_local_b) {
+        speck_.ensure_team_b(b_, ctx_);
+        ctx_.team_b = &speck_.team_b_;
+      }
+    }
+    return true;
+  }
+
+  /// Row analysis, the row sizes, and the numeric binning that runs off
+  /// them (paper Fig. 2 stages 1-4).
+  bool plan_rows() {
+    // Stage 1: the O(nnz_A) lightweight analysis (Algorithm 1). Estimated
+    // planning adds a bounded per-row sampling pass for the NNZ estimates;
+    // what it skips is the O(products) symbolic pass below.
+    const bool estimated = source_ == RowSizes::kEstimated;
+    sim::Launch launch(estimated ? "row_estimator" : "row_analysis",
+                       speck_.device_, speck_.model_);
+    if (estimated) {
+      rows_ = estimate_rows(a_, b_, speck_.config_, launch, ctx_.pool, faults_);
+    } else {
+      rows_.analysis = analyze_rows(a_, b_, launch, ctx_.pool, faults_);
+    }
+    ctx_.analysis = &rows_.analysis;
+    diag_.products = rows_.analysis.total_products;
+    finish(launch, sim::Stage::kAnalysis);
+    if (!memory_.allocate(static_cast<std::size_t>(a_.rows()) *
+                              (sizeof(offset_t) + (estimated ? 4 : 3) * sizeof(index_t)),
+                          estimated ? "row estimation buffers exceed device memory"
+                                    : "row analysis buffers exceed device memory")) {
+      return false;
+    }
+    poll(estimated ? "row estimation" : "row analysis");
+
+    switch (source_) {
+      case RowSizes::kSymbolic: {
+        // Stages 2 + 3: conditional global load balancing on the
+        // conservative product counts, then the symbolic pass for the exact
+        // C row sizes.
+        if (!balance(rows_.analysis.products, /*symbolic=*/true, symbolic_plan_)) {
+          return false;
+        }
+        poll("symbolic load balancing");
+        SymbolicOutcome symbolic = run_symbolic(ctx_, symbolic_plan_);
+        diag_.symbolic = symbolic.stats;
+        result.timeline.add(sim::Stage::kSymbolic, symbolic.stats.seconds);
+        if (!memory_.transient(symbolic.stats.global_pool_bytes,
+                               "global hash pool exceeds device memory")) {
+          return false;
+        }
+        row_sizes_ = std::move(symbolic.row_nnz);
+        // The C allocation itself is not timed (identical for every method)
+        // but counts towards peak memory.
+        if (!memory_.allocate(csr_bytes(a_.rows(), total(row_sizes_)),
+                              "output matrix exceeds device memory")) {
+          return false;
+        }
+        poll("symbolic pass");
+        break;
+      }
+      case RowSizes::kEstimated:
+        row_sizes_ = std::move(rows_.row_nnz_estimate);
+        break;
+      case RowSizes::kMask: {
+        // The mask row *is* the candidate pattern, so the accumulator
+        // demand per row is the hard bound min(products, mask_row_nnz) —
+        // never an estimate, so there is no fallback machinery.
+        const std::span<const offset_t> mask_offsets = mask_->row_offsets();
+        row_sizes_.resize(static_cast<std::size_t>(a_.rows()));
+        for (std::size_t r = 0; r < row_sizes_.size(); ++r) {
+          row_sizes_[r] = static_cast<index_t>(std::min(
+              rows_.analysis.products[r], mask_offsets[r + 1] - mask_offsets[r]));
+        }
+        break;
+      }
+    }
+
+    // Stage 4: conditional global load balancing for the numeric pass, on
+    // the row sizes inflated by the hash fill limit (66%).
+    std::vector<offset_t> entries(row_sizes_.size());
+    for (std::size_t r = 0; r < entries.size(); ++r) {
+      entries[r] = static_cast<offset_t>(static_cast<double>(row_sizes_[r]) /
+                                             speck_.config_.max_numeric_fill +
+                                         1.0);
+      if (faults_ != nullptr) {
+        // Like the analysis estimates, a perturbed binning input only shifts
+        // rows between kernel configurations.
+        entries[r] = faults_->scale_estimate(static_cast<index_t>(r), entries[r]);
+      }
+    }
+    if (!balance(entries, /*symbolic=*/false, numeric_plan_)) return false;
+    poll("numeric load balancing");
+    return true;
+  }
+
+  /// Stages 5 + 6: the numeric pass the row sizes select and the sort,
+  /// which complete the result.
+  bool numeric() {
+    // Without the symbolic pass, C is staged in one slot per row sized by
+    // the estimate or mask bound, and the exact C is allocated afterwards.
+    if (source_ != RowSizes::kSymbolic) {
+      staging_bytes_ = csr_bytes(a_.rows(), total(row_sizes_));
+      if (!memory_.allocate(staging_bytes_,
+                            source_ == RowSizes::kMask
+                                ? "masked output staging exceeds device memory"
+                                : "estimated output staging exceeds device memory")) {
+        return false;
+      }
+    }
+    trace_mark_ = trace_.launches().size();
+    switch (source_) {
+      case RowSizes::kSymbolic: {
+        NumericOutcome out = run_numeric(ctx_, numeric_plan_, row_sizes_);
+        numeric_ = {std::move(out.c), {}, out.stats, out.sorting_seconds,
+                    out.radix_sorted_elements};
+        break;
+      }
+      case RowSizes::kEstimated:
+        // Discovers the exact pattern, re-running underflowed rows through
+        // the exact fallback, and compacts.
+        numeric_ = run_numeric_estimated(ctx_, numeric_plan_, row_sizes_);
+        break;
+      case RowSizes::kMask: {
+        // No sort follows: mask rows are ascending, so extraction emits C
+        // already in final order.
+        MaskedNumericOutcome out = run_numeric_masked(ctx_, numeric_plan_, row_sizes_);
+        numeric_ = {std::move(out.c), std::move(out.row_nnz), out.stats};
+        break;
+      }
+    }
+    diag_.numeric = numeric_.stats;
+    diag_.radix_sorted_elements = numeric_.radix_sorted_elements;
+    result.timeline.add(sim::Stage::kNumeric, numeric_.stats.seconds);
+    result.timeline.add(sim::Stage::kSorting, numeric_.sorting_seconds);
+    if (!memory_.transient(numeric_.stats.global_pool_bytes,
+                           "global hash pool exceeds device memory")) {
+      return false;
+    }
+    if (source_ == RowSizes::kSymbolic) {
+      // Double-buffer for the device radix sort.
+      if (!memory_.transient(static_cast<std::size_t>(numeric_.radix_sorted_elements) *
+                                 (sizeof(index_t) + sizeof(value_t)),
+                             "radix sort buffers exceed device memory")) {
+        return false;
+      }
+    } else {
+      if (!memory_.allocate(csr_bytes(a_.rows(), numeric_.c.nnz()),
+                            "output matrix exceeds device memory")) {
+        return false;
+      }
+      memory_.tracker.release(staging_bytes_);
+    }
+    result.c = std::move(numeric_.c);
+    result.seconds = result.timeline.total_seconds();
+    result.peak_memory_bytes = memory_.tracker.peak_bytes();
+    return true;
+  }
+
+  /// Freezes the completed run's structure state into `plan`.
+  void capture(SpeckPlan& plan, bool steal_pattern) {
+    plan.wide_keys = ctx_.wide_keys;
+    // The plan stores the *actual* exact row counts. The replay program
+    // re-derives method selection from the row sizes binning ran off — the
+    // estimates in estimated mode, exactly what the estimated pass
+    // executed — which is what keeps replays bit-identical.
+    plan.row_nnz = source_ == RowSizes::kSymbolic ? std::move(row_sizes_)
+                                                   : std::move(numeric_.row_nnz);
+    if (steal_pattern) {
+      // The caller promised to discard the result: take the pattern arrays
+      // instead of copying them (the values are dropped either way).
+      std::vector<value_t> discarded_values;
+      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
+                           discarded_values);
+    } else {
+      const std::span<const offset_t> c_offsets = result.c.row_offsets();
+      const std::span<const index_t> c_cols = result.c.col_indices();
+      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
+      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
+    }
+    if (!replay_indices_fit(static_cast<std::uint64_t>(a_.nnz()),
+                            static_cast<std::uint64_t>(b_.nnz()),
+                            static_cast<std::uint64_t>(plan.c_nnz()))) {
+      plan.incomplete_reason = "matrix too large for the 32-bit replay program";
+    } else {
+      plan.program =
+          source_ == RowSizes::kMask
+              ? build_replay_program_masked(ctx_, plan.c_row_offsets,
+                                            plan.c_col_indices)
+              : build_replay_program(
+                    ctx_, numeric_plan_,
+                    source_ == RowSizes::kEstimated ? row_sizes_ : plan.row_nnz,
+                    plan.c_row_offsets, plan.c_col_indices);
+      plan.complete = true;
+    }
+    plan.analysis = std::move(rows_.analysis);
+    plan.symbolic_plan = std::move(symbolic_plan_);
+    plan.numeric_plan = std::move(numeric_plan_);
+    plan.diagnostics = diag_;
+    plan.numeric_seconds = numeric_.stats.seconds;
+    plan.sorting_seconds = numeric_.sorting_seconds;
+    const std::vector<sim::LaunchResult>& launches = trace_.launches();
+    plan.replay_trace.assign(
+        launches.begin() + static_cast<std::ptrdiff_t>(trace_mark_),
+        launches.end());
+    plan.inspect_seconds = inspect_seconds();
+  }
+
+  /// Simulated seconds of the stages before the numeric pass.
+  double inspect_seconds() const {
+    return result.timeline.seconds(sim::Stage::kAnalysis) +
+           result.timeline.seconds(sim::Stage::kSymbolicLoadBalance) +
+           result.timeline.seconds(sim::Stage::kSymbolic) +
+           result.timeline.seconds(sim::Stage::kNumericLoadBalance);
+  }
+
+  const RowAnalysis& analysis() const { return rows_.analysis; }
+  std::vector<index_t>& row_sizes() { return row_sizes_; }
+
+  SpGemmResult result;
+
+ private:
+  void poll(const char* phase) const {
+    if (cancel_ != nullptr) cancel_->check(phase);
+  }
+
+  /// Ends a stage's launch: its simulated seconds join the timeline and the
+  /// launch joins the trace.
+  void finish(const sim::Launch& launch, sim::Stage stage) {
+    sim::LaunchResult finished = launch.finish();
+    result.timeline.add(stage, finished.seconds);
+    trace_.record(std::move(finished));
+  }
+
+  /// Conditional global load balancing (paper §4.2) over `entries`; only a
+  /// balancer that actually ran is charged time and device memory.
+  bool balance(std::span<const offset_t> entries, bool symbolic, BinPlan& plan) {
+    sim::Launch launch(symbolic ? "symbolic_lb" : "numeric_lb", speck_.device_,
+                       speck_.model_);
+    const GlobalLbInputs inputs{entries, symbolic};
+    plan = plan_global_lb(inputs, speck_.kernel_configs_, speck_.config_, launch);
+    (symbolic ? diag_.symbolic_decision : diag_.numeric_decision) =
+        lb_decision_stats(inputs, speck_.kernel_configs_, speck_.config_);
+    (symbolic ? diag_.symbolic_lb_used : diag_.numeric_lb_used) =
+        plan.used_load_balancer;
+    (symbolic ? diag_.symbolic_blocks : diag_.numeric_blocks) =
+        static_cast<int>(plan.blocks.size());
+    if (!plan.used_load_balancer) return true;
+    finish(launch, symbolic ? sim::Stage::kSymbolicLoadBalance
+                            : sim::Stage::kNumericLoadBalance);
+    return memory_.allocate(plan.lb_memory_bytes,
+                            "load balancer buffers exceed device memory");
+  }
+
+  Speck& speck_;
+  const Csr& a_;
+  const Csr& b_;
+  const Csr* mask_;
+  RowSizes source_;
+  const CancelToken* cancel_;
+  SpeckDiagnostics& diag_;
+  sim::LaunchTrace& trace_;
+  std::optional<FaultInjector> injector_;
+  const FaultInjector* faults_ = nullptr;
+  DeviceMemory memory_;
+  KernelContext ctx_;
+  /// The analysis, plus the sampled NNZ estimates in estimated mode.
+  RowEstimate rows_;
+  BinPlan symbolic_plan_;
+  BinPlan numeric_plan_;
+  /// What numeric binning and the numeric kernel ran off: exact symbolic
+  /// counts, NNZ estimates, or per-row mask demand.
+  std::vector<index_t> row_sizes_;
+  std::size_t staging_bytes_ = 0;
+  /// The widest of the three numeric outcome shapes.
+  EstimatedNumericOutcome numeric_;
+  std::size_t trace_mark_ = 0;
+};
 
 ThreadPool* Speck::host_pool() {
   if (config_.host_threads == 0) {
@@ -115,8 +518,8 @@ void Speck::ensure_team_b(const Csr& b, const KernelContext& ctx) {
 }
 
 bool Speck::plan_worth_caching(const Csr& a, const Csr& b) const {
-  if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-      static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex) {
+  if (!replay_indices_fit(static_cast<std::uint64_t>(a.nnz()),
+                          static_cast<std::uint64_t>(b.nnz()), 0)) {
     return false;
   }
   // estimate_plan_bytes is O(nnz_A) — cheap relative to the full multiply
@@ -136,16 +539,28 @@ PlanCache& Speck::plan_cache() {
 }
 
 SpGemmResult Speck::multiply(const Csr& a, const Csr& b) {
-  if (config_.mask != nullptr) return multiply_masked(a, b, *config_.mask);
+  return multiply_cached(a, b, config_.mask.get());
+}
+
+SpGemmResult Speck::multiply_masked(const Csr& a, const Csr& b,
+                                    const Csr& mask) {
+  return multiply_cached(a, b, &mask);
+}
+
+SpGemmResult Speck::multiply_cached(const Csr& a, const Csr& b,
+                                    const Csr* mask) {
   if (!config_.plan_cache) {
     has_last_structure_ = false;
     transparent_cache_.reset();
-    return multiply_full(a, b, nullptr);
+    return run_pipeline(a, b, mask, nullptr);
   }
   PlanCache& cache = plan_cache();
-  const PlanFingerprint fp = plan_fingerprint(a, b, config_);
+  // The masked fingerprint keeps masked and unmasked structures from ever
+  // colliding.
+  const PlanFingerprint fp = fingerprint(a, b, mask, config_);
   if (const std::shared_ptr<const SpeckPlan> plan = cache.find(fp)) {
-    SpGemmResult result = replay_plan(*plan, a, b);
+    SpGemmResult result = replay_plan_into(*plan, a, b, host_pool(),
+                                           &diagnostics_, &trace_, nullptr);
     diagnostics_.plan_cache_hit = true;
     return result;
   }
@@ -156,64 +571,33 @@ SpGemmResult Speck::multiply(const Csr& a, const Csr& b) {
                      plan_worth_caching(a, b);
   last_structure_ = fp;
   has_last_structure_ = true;
-  if (!build) return multiply_full(a, b, nullptr);
+  if (!build) return run_pipeline(a, b, mask, nullptr);
   auto plan = std::make_shared<SpeckPlan>();
   plan->fingerprint = fp;
-  SpGemmResult result = multiply_full(a, b, plan.get());
-  if (result.ok() && plan->complete) cache.insert(std::move(plan));
-  return result;
-}
-
-SpGemmResult Speck::multiply_masked(const Csr& a, const Csr& b,
-                                    const Csr& mask) {
-  if (!config_.plan_cache) {
-    has_last_structure_ = false;
-    transparent_cache_.reset();
-    return multiply_masked_full(a, b, mask, nullptr);
-  }
-  PlanCache& cache = plan_cache();
-  const PlanFingerprint fp = plan_fingerprint_masked(a, b, mask, config_);
-  if (const std::shared_ptr<const SpeckPlan> plan = cache.find(fp)) {
-    SpGemmResult result = replay_plan(*plan, a, b);
-    diagnostics_.plan_cache_hit = true;
-    return result;
-  }
-  // Same build-on-second-sight policy as the unmasked path; the masked
-  // fingerprint keeps masked and unmasked structures from ever colliding.
-  const bool build = has_last_structure_ && fp.matches_full(last_structure_) &&
-                     plan_worth_caching(a, b);
-  last_structure_ = fp;
-  has_last_structure_ = true;
-  if (!build) return multiply_masked_full(a, b, mask, nullptr);
-  auto plan = std::make_shared<SpeckPlan>();
-  plan->fingerprint = fp;
-  SpGemmResult result = multiply_masked_full(a, b, mask, plan.get());
+  SpGemmResult result = run_pipeline(a, b, mask, plan.get());
   if (result.ok() && plan->complete) cache.insert(std::move(plan));
   return result;
 }
 
 SpeckPlan Speck::plan(const Csr& a, const Csr& b, SpGemmResult* full_result,
                       const CancelToken* cancel) {
-  SpeckPlan plan;
-  plan.fingerprint = plan_fingerprint(a, b, config_);
-  // When the caller does not want the full multiply result, the capture
-  // block may steal the C pattern arrays from it instead of copying.
-  SpGemmResult result =
-      multiply_full(a, b, &plan, cancel, /*steal_pattern=*/full_result == nullptr);
-  if (!result.ok() && plan.incomplete_reason.empty()) {
-    plan.incomplete_reason = "planning run failed: " + result.failure_reason;
-  }
-  if (full_result != nullptr) *full_result = std::move(result);
-  return plan;
+  return plan_for(a, b, nullptr, full_result, cancel);
 }
 
 SpeckPlan Speck::plan_masked(const Csr& a, const Csr& b, const Csr& mask,
                              SpGemmResult* full_result,
                              const CancelToken* cancel) {
+  return plan_for(a, b, &mask, full_result, cancel);
+}
+
+SpeckPlan Speck::plan_for(const Csr& a, const Csr& b, const Csr* mask,
+                          SpGemmResult* full_result, const CancelToken* cancel) {
   SpeckPlan plan;
-  plan.fingerprint = plan_fingerprint_masked(a, b, mask, config_);
-  SpGemmResult result = multiply_masked_full(
-      a, b, mask, &plan, cancel, /*steal_pattern=*/full_result == nullptr);
+  plan.fingerprint = fingerprint(a, b, mask, config_);
+  // When the caller does not want the full multiply result, the capture
+  // may steal the C pattern arrays from it instead of copying.
+  SpGemmResult result = run_pipeline(a, b, mask, &plan, cancel,
+                                     /*steal_pattern=*/full_result == nullptr);
   if (!result.ok() && plan.incomplete_reason.empty()) {
     plan.incomplete_reason = "planning run failed: " + result.failure_reason;
   }
@@ -221,11 +605,30 @@ SpeckPlan Speck::plan_masked(const Csr& a, const Csr& b, const Csr& mask,
   return plan;
 }
 
+SpGemmResult Speck::run_pipeline(const Csr& a, const Csr& b, const Csr* mask,
+                                 SpeckPlan* capture, const CancelToken* cancel,
+                                 bool steal_pattern) {
+  const RowSizes source =
+      mask != nullptr ? RowSizes::kMask
+      : resolve_planning(config_.planning) == PlanningMode::kEstimated
+          ? RowSizes::kEstimated
+          : RowSizes::kSymbolic;
+  PipelineRun run(*this, a, b, mask, source, cancel, diagnostics_, trace_);
+  if (!run.start() || !run.plan_rows() || !run.numeric()) {
+    return std::move(run.result);
+  }
+  if (capture != nullptr) run.capture(*capture, steal_pattern);
+  return std::move(run.result);
+}
+
 SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
                                        const Csr& b) {
   std::string reject = plan_reject_reason(plan, a, b, config_);
-  if (reject.empty()) return replay_plan(plan, a, b);
-  SpGemmResult result = multiply_full(a, b, nullptr);
+  if (reject.empty()) {
+    return replay_plan_into(plan, a, b, host_pool(), &diagnostics_, &trace_,
+                            nullptr);
+  }
+  SpGemmResult result = run_pipeline(a, b, config_.mask.get(), nullptr);
   diagnostics_.plan_fallback = true;
   diagnostics_.plan_fallback_reason = std::move(reject);
   return result;
@@ -234,6 +637,18 @@ SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
 SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
                                        const Csr& b,
                                        SpeckDiagnostics* diag) const {
+  return replay_or_reject(plan, a, b, diag, nullptr);
+}
+
+SpGemmResult Speck::replay_values_into(const SpeckPlan& plan, const Csr& a,
+                                       const Csr& b, std::span<value_t> out,
+                                       SpeckDiagnostics* diag) const {
+  return replay_or_reject(plan, a, b, diag, &out);
+}
+
+SpGemmResult Speck::replay_or_reject(const SpeckPlan& plan, const Csr& a,
+                                     const Csr& b, SpeckDiagnostics* diag,
+                                     std::span<value_t>* out) const {
   const std::string reject = plan_reject_reason(plan, a, b, config_);
   if (!reject.empty()) {
     // No fallback here: the full pipeline needs this instance's mutable
@@ -245,30 +660,10 @@ SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
     result.failure_reason = "plan rejected: " + reject;
     return result;
   }
-  return replay_plan_into(plan, a, b, &serial_pool(), diag, nullptr, nullptr);
-}
-
-SpGemmResult Speck::replay_values_into(const SpeckPlan& plan, const Csr& a,
-                                       const Csr& b, std::span<value_t> out,
-                                       SpeckDiagnostics* diag) const {
-  const std::string reject = plan_reject_reason(plan, a, b, config_);
-  if (!reject.empty()) {
-    if (diag != nullptr) *diag = SpeckDiagnostics{};
-    SpGemmResult result;
-    result.status = SpGemmStatus::kUnsupported;
-    result.failure_reason = "plan rejected: " + reject;
-    return result;
-  }
-  SPECK_REQUIRE(out.size() == static_cast<std::size_t>(plan.c_nnz()),
+  SPECK_REQUIRE(out == nullptr || out->size() == static_cast<std::size_t>(plan.c_nnz()),
                 "replay_values_into: output span must be sized to the plan's "
                 "c_nnz");
-  return replay_plan_into(plan, a, b, &serial_pool(), diag, nullptr, &out);
-}
-
-SpGemmResult Speck::replay_plan(const SpeckPlan& plan, const Csr& a,
-                                const Csr& b) {
-  return replay_plan_into(plan, a, b, host_pool(), &diagnostics_, &trace_,
-                          nullptr);
+  return replay_plan_into(plan, a, b, &serial_pool(), diag, nullptr, out);
 }
 
 SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
@@ -278,11 +673,10 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
                                      std::span<value_t>* external) const {
   SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
   if (config_.validate_inputs) validate_multiply_inputs(a, b);
-  std::optional<FaultInjector> injector;
-  if (config_.faults.enabled()) injector.emplace(config_.faults);
-  const FaultInjector* faults = injector ? &*injector : nullptr;
-
   SpGemmResult result;
+  const std::size_t capacity =
+      FaultInjector(config_.faults).cap_memory(device_.global_memory_bytes);
+  DeviceMemory memory{sim::MemoryTracker(capacity), result};
   // The pipeline is a deterministic function of structure and configuration
   // — values never steer control flow — so the capturing run's diagnostics
   // are exactly what a full run on these inputs would report. Only the
@@ -296,43 +690,19 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
   }
   if (trace != nullptr) trace->clear();
 
-  sim::MemoryTracker memory(faults != nullptr
-                                ? faults->cap_memory(device_.global_memory_bytes)
-                                : device_.global_memory_bytes);
-  if (!memory.allocate(a.byte_size() + b.byte_size())) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "input matrices exceed device memory";
-    return result;
-  }
   const auto c_nnz = static_cast<std::size_t>(plan.c_nnz());
-  const std::size_t c_bytes =
-      (static_cast<std::size_t>(plan.fingerprint.a_rows) + 1) * sizeof(offset_t) +
-      c_nnz * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
+  // Inputs and C are resident as in a full run, and the replayed numeric
+  // kernels use the same transient device buffers the full numeric pass did.
+  if (!memory.allocate(a.byte_size() + b.byte_size(),
+                       "input matrices exceed device memory") ||
+      !memory.allocate(csr_bytes(plan.fingerprint.a_rows, plan.c_nnz()),
+                       "output matrix exceeds device memory") ||
+      !memory.transient(plan.diagnostics.numeric.global_pool_bytes,
+                        "global hash pool exceeds device memory") ||
+      !memory.transient(static_cast<std::size_t>(plan.diagnostics.radix_sorted_elements) *
+                            (sizeof(index_t) + sizeof(value_t)),
+                        "radix sort buffers exceed device memory")) {
     return result;
-  }
-  // The replayed numeric kernels use the same transient device buffers the
-  // full numeric pass did.
-  if (plan.diagnostics.numeric.global_pool_bytes > 0) {
-    if (!memory.allocate(plan.diagnostics.numeric.global_pool_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "global hash pool exceeds device memory";
-      return result;
-    }
-    memory.release(plan.diagnostics.numeric.global_pool_bytes);
-  }
-  if (plan.diagnostics.radix_sorted_elements > 0) {
-    const auto sort_bytes =
-        static_cast<std::size_t>(plan.diagnostics.radix_sorted_elements) *
-        (sizeof(index_t) + sizeof(value_t));
-    if (!memory.allocate(sort_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "radix sort buffers exceed device memory";
-      return result;
-    }
-    memory.release(sort_bytes);
   }
 
   const SimdBackend simd = simd::resolve_backend(config_.simd_backend);
@@ -340,20 +710,16 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
   // (the concurrent service path); the serial kernel also owns no per-call
   // containers, keeping that path allocation-free.
   const bool serial = pool != nullptr && pool->thread_count() == 1;
-  std::size_t replay_allocs = 0;
-  if (external != nullptr) {
-    // Caller-owned values; the dense-row program ops accumulate, so the
-    // buffer starts from zero. result.c stays empty — the pattern is shared
-    // via the plan.
-    std::fill(external->begin(), external->end(), value_t{0});
-    replay_allocs =
-        serial ? replay_numeric_values_serial(a, b, plan.program, *external, simd)
-               : replay_numeric_values(a, b, plan.program, pool, *external, simd);
-  } else {
-    std::vector<value_t> values(c_nnz, 0.0);
-    replay_allocs =
-        serial ? replay_numeric_values_serial(a, b, plan.program, values, simd)
-               : replay_numeric_values(a, b, plan.program, pool, values, simd);
+  // Caller-owned values leave result.c empty — the pattern is shared via
+  // the plan. The dense-row program ops accumulate, so the buffer starts
+  // from zero either way.
+  std::vector<value_t> values(external != nullptr ? 0 : c_nnz, 0.0);
+  const std::span<value_t> out = external != nullptr ? *external : values;
+  if (external != nullptr) std::fill(out.begin(), out.end(), value_t{0});
+  const std::size_t replay_allocs =
+      serial ? replay_numeric_values_serial(a, b, plan.program, out, simd)
+             : replay_numeric_values(a, b, plan.program, pool, out, simd);
+  if (external == nullptr) {
     result.c = Csr(plan.fingerprint.a_rows, plan.fingerprint.b_cols,
                    plan.c_row_offsets, plan.c_col_indices, std::move(values));
   }
@@ -367,610 +733,26 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
   result.timeline.add(sim::Stage::kNumeric, plan.numeric_seconds);
   result.timeline.add(sim::Stage::kSorting, plan.sorting_seconds);
   result.seconds = result.timeline.total_seconds();
-  result.peak_memory_bytes = memory.peak_bytes();
+  result.peak_memory_bytes = memory.tracker.peak_bytes();
   return result;
 }
 
-SpGemmResult Speck::multiply_full(const Csr& a, const Csr& b,
-                                  SpeckPlan* capture,
-                                  const CancelToken* cancel,
-                                  bool steal_pattern) {
-  // Cooperative cancellation: polled at stage boundaries on this (the
-  // coordinating) thread only — pool workers never throw. A kernel that has
-  // started runs to completion; the check before each stage keeps an
-  // expired request from entering the next one.
-  const auto poll_cancel = [cancel](const char* phase) {
-    if (cancel != nullptr) cancel->check(phase);
-  };
-  poll_cancel("admission");
-  SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
-  if (config_.validate_inputs) validate_multiply_inputs(a, b);
-  std::optional<FaultInjector> injector;
-  if (config_.faults.enabled()) injector.emplace(config_.faults);
-  const FaultInjector* faults = injector ? &*injector : nullptr;
-
-  SpGemmResult result;
-  diagnostics_ = SpeckDiagnostics{};
-  diagnostics_.wide_keys = b.cols() > kMaxColumns32Bit;
-  trace_.clear();
-
-  sim::MemoryTracker memory(faults != nullptr
-                                ? faults->cap_memory(device_.global_memory_bytes)
-                                : device_.global_memory_bytes);
-  // Input matrices are resident for the duration of the multiplication
-  // (the paper lists this as spECK's limitation, §7).
-  if (!memory.allocate(a.byte_size() + b.byte_size())) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "input matrices exceed device memory";
-    return result;
+SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b) {
+  // The exact pipeline up to numeric binning, reported into local
+  // diagnostics and trace so the last multiply's stay intact.
+  SpeckDiagnostics diag;
+  sim::LaunchTrace trace;
+  Speck::PipelineRun run(speck, a, b, nullptr, RowSizes::kSymbolic, nullptr,
+                         diag, trace);
+  if (!run.start() || !run.plan_rows()) {
+    throw ResourceExhausted(run.result.failure_reason, "symbolic_estimate");
   }
-
-  KernelContext ctx;
-  ctx.a = &a;
-  ctx.b = &b;
-  ctx.cfg = &config_;
-  ctx.configs = &kernel_configs_;
-  ctx.device = &device_;
-  ctx.model = &model_;
-  ctx.wide_keys = diagnostics_.wide_keys;
-  ctx.trace = &trace_;
-  ctx.pool = host_pool();
-  ctx.workspaces = &workspaces_;
-  ctx.faults = faults;
-  ctx.simd = simd::resolve_backend(config_.simd_backend);
-  ctx.partitions = resolve_partitions(config_.partitions);
-  ctx.partition_steal = config_.partition_steal;
-  diagnostics_.partition.partitions = ctx.partitions;
-  ctx.partition_diag = &diagnostics_.partition;
-  if (ctx.partitions > 1) {
-    ctx.team_workspaces = &team_workspaces_;
-    if (config_.numa_local_b) {
-      ensure_team_b(b, ctx);
-      ctx.team_b = &team_b_;
-    }
-  }
-
-  if (resolve_planning(config_.planning) == PlanningMode::kEstimated) {
-    return multiply_estimated(a, b, capture, cancel, ctx, memory,
-                              steal_pattern);
-  }
-
-  // Stage 1: lightweight row analysis (Algorithm 1).
-  sim::Launch analysis_launch("row_analysis", device_, model_);
-  RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool, faults);
-  ctx.analysis = &analysis;
-  diagnostics_.products = analysis.total_products;
-  {
-    sim::LaunchResult finished = analysis_launch.finish();
-    result.timeline.add(sim::Stage::kAnalysis, finished.seconds);
-    trace_.record(std::move(finished));
-  }
-  const std::size_t analysis_bytes =
-      static_cast<std::size_t>(a.rows()) *
-      (sizeof(offset_t) + 3 * sizeof(index_t));
-  if (!memory.allocate(analysis_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "row analysis buffers exceed device memory";
-    return result;
-  }
-
-  poll_cancel("row analysis");
-  // Stage 2: conditional global load balancing for the symbolic pass,
-  // binning on the conservative product counts.
-  sim::Launch symbolic_lb_launch("symbolic_lb", device_, model_);
-  const GlobalLbInputs symbolic_inputs{std::span<const offset_t>(analysis.products),
-                                       /*symbolic=*/true};
-  BinPlan symbolic_plan =
-      plan_global_lb(symbolic_inputs, kernel_configs_, config_, symbolic_lb_launch);
-  diagnostics_.symbolic_decision =
-      lb_decision_stats(symbolic_inputs, kernel_configs_, config_);
-  diagnostics_.symbolic_lb_used = symbolic_plan.used_load_balancer;
-  diagnostics_.symbolic_blocks = static_cast<int>(symbolic_plan.blocks.size());
-  if (symbolic_plan.used_load_balancer) {
-    sim::LaunchResult finished = symbolic_lb_launch.finish();
-    result.timeline.add(sim::Stage::kSymbolicLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(symbolic_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("symbolic load balancing");
-  // Stage 3: symbolic SpGEMM (exact C row sizes).
-  SymbolicOutcome symbolic = run_symbolic(ctx, symbolic_plan);
-  diagnostics_.symbolic = symbolic.stats;
-  result.timeline.add(sim::Stage::kSymbolic, symbolic.stats.seconds);
-  if (symbolic.stats.global_pool_bytes > 0 &&
-      !memory.allocate(symbolic.stats.global_pool_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "global hash pool exceeds device memory";
-    return result;
-  }
-  if (symbolic.stats.global_pool_bytes > 0) {
-    memory.release(symbolic.stats.global_pool_bytes);
-  }
-
-  // Output row offsets via exclusive prefix sum; the C allocation itself is
-  // not timed (identical for every method) but counts towards peak memory.
-  offset_t c_nnz = 0;
-  for (const index_t nnz : symbolic.row_nnz) c_nnz += nnz;
-  const std::size_t c_bytes =
-      (static_cast<std::size_t>(a.rows()) + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(c_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
-  }
-
-  poll_cancel("symbolic pass");
-  // Stage 4: conditional global load balancing for the numeric pass, using
-  // the exact row sizes inflated by the hash fill limit (66%).
-  std::vector<offset_t> numeric_entries(symbolic.row_nnz.size());
-  for (std::size_t r = 0; r < symbolic.row_nnz.size(); ++r) {
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(symbolic.row_nnz[r]) / config_.max_numeric_fill + 1.0);
-    if (faults != nullptr) {
-      // Perturb the numeric binning input too — like the analysis estimates
-      // this only shifts rows between kernel configurations.
-      numeric_entries[r] =
-          faults->scale_estimate(static_cast<index_t>(r), numeric_entries[r]);
-    }
-  }
-  sim::Launch numeric_lb_launch("numeric_lb", device_, model_);
-  const GlobalLbInputs numeric_inputs{std::span<const offset_t>(numeric_entries),
-                                      /*symbolic=*/false};
-  BinPlan numeric_plan =
-      plan_global_lb(numeric_inputs, kernel_configs_, config_, numeric_lb_launch);
-  diagnostics_.numeric_decision =
-      lb_decision_stats(numeric_inputs, kernel_configs_, config_);
-  diagnostics_.numeric_lb_used = numeric_plan.used_load_balancer;
-  diagnostics_.numeric_blocks = static_cast<int>(numeric_plan.blocks.size());
-  if (numeric_plan.used_load_balancer) {
-    sim::LaunchResult finished = numeric_lb_launch.finish();
-    result.timeline.add(sim::Stage::kNumericLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(numeric_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("numeric load balancing");
-  // Stage 5 + 6: numeric SpGEMM and the sorting pass.
-  const std::size_t numeric_trace_mark = trace_.launches().size();
-  NumericOutcome numeric = run_numeric(ctx, numeric_plan, symbolic.row_nnz);
-  diagnostics_.numeric = numeric.stats;
-  diagnostics_.radix_sorted_elements = numeric.radix_sorted_elements;
-  result.timeline.add(sim::Stage::kNumeric, numeric.stats.seconds);
-  result.timeline.add(sim::Stage::kSorting, numeric.sorting_seconds);
-  if (numeric.stats.global_pool_bytes > 0) {
-    if (!memory.allocate(numeric.stats.global_pool_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "global hash pool exceeds device memory";
-      return result;
-    }
-    memory.release(numeric.stats.global_pool_bytes);
-  }
-  if (numeric.radix_sorted_elements > 0) {
-    // Double-buffer for the device radix sort.
-    const auto sort_bytes = static_cast<std::size_t>(numeric.radix_sorted_elements) *
-                            (sizeof(index_t) + sizeof(value_t));
-    if (!memory.allocate(sort_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "radix sort buffers exceed device memory";
-      return result;
-    }
-    memory.release(sort_bytes);
-  }
-
-  result.c = std::move(numeric.c);
-  result.seconds = result.timeline.total_seconds();
-  result.peak_memory_bytes = memory.peak_bytes();
-
-  if (capture != nullptr) {
-    SpeckPlan& plan = *capture;
-    plan.wide_keys = ctx.wide_keys;
-    plan.row_nnz = std::move(symbolic.row_nnz);
-    if (steal_pattern) {
-      // The caller promised to discard the result: take the pattern arrays
-      // instead of copying them (the values are dropped either way).
-      std::vector<value_t> discarded_values;
-      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
-                           discarded_values);
-    } else {
-      const std::span<const offset_t> c_offsets = result.c.row_offsets();
-      const std::span<const index_t> c_cols = result.c.col_indices();
-      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
-      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
-    }
-    if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
-      plan.incomplete_reason =
-          "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program(ctx, numeric_plan, plan.row_nnz,
-                                          plan.c_row_offsets,
-                                          plan.c_col_indices);
-      plan.complete = true;
-    }
-    plan.analysis = std::move(analysis);
-    plan.symbolic_plan = std::move(symbolic_plan);
-    plan.numeric_plan = std::move(numeric_plan);
-    plan.diagnostics = diagnostics_;
-    plan.numeric_seconds = numeric.stats.seconds;
-    plan.sorting_seconds = numeric.sorting_seconds;
-    const std::vector<sim::LaunchResult>& launches = trace_.launches();
-    plan.replay_trace.assign(
-        launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
-        launches.end());
-    plan.inspect_seconds =
-        result.timeline.seconds(sim::Stage::kAnalysis) +
-        result.timeline.seconds(sim::Stage::kSymbolicLoadBalance) +
-        result.timeline.seconds(sim::Stage::kSymbolic) +
-        result.timeline.seconds(sim::Stage::kNumericLoadBalance);
-  }
-  return result;
-}
-
-SpGemmResult Speck::multiply_estimated(const Csr& a, const Csr& b,
-                                       SpeckPlan* capture,
-                                       const CancelToken* cancel,
-                                       KernelContext& ctx,
-                                       sim::MemoryTracker& memory,
-                                       bool steal_pattern) {
-  const auto poll_cancel = [cancel](const char* phase) {
-    if (cancel != nullptr) cancel->check(phase);
-  };
-  SpGemmResult result;
-  diagnostics_.estimated_planning = true;
-  const FaultInjector* faults = ctx.faults;
-
-  // Stage 1': row estimation — the exact O(nnz_A) lightweight analysis plus
-  // a bounded per-row sampling pass for the NNZ estimates; what it *skips*
-  // is the O(products) symbolic hashing pass below.
-  sim::Launch estimator_launch("row_estimator", device_, model_);
-  RowEstimate estimate =
-      estimate_rows(a, b, config_, estimator_launch, ctx.pool, faults);
-  ctx.analysis = &estimate.analysis;
-  diagnostics_.products = estimate.analysis.total_products;
-  {
-    sim::LaunchResult finished = estimator_launch.finish();
-    result.timeline.add(sim::Stage::kAnalysis, finished.seconds);
-    trace_.record(std::move(finished));
-  }
-  const std::size_t analysis_bytes =
-      static_cast<std::size_t>(a.rows()) *
-      (sizeof(offset_t) + 4 * sizeof(index_t));
-  if (!memory.allocate(analysis_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "row estimation buffers exceed device memory";
-    return result;
-  }
-
-  poll_cancel("row estimation");
-  // The symbolic load balancer and the symbolic pass are skipped entirely:
-  // numeric binning runs straight off the NNZ estimates, inflated by the
-  // hash fill limit exactly like exact mode inflates the symbolic counts.
-  std::vector<offset_t> numeric_entries(estimate.row_nnz_estimate.size());
-  for (std::size_t r = 0; r < numeric_entries.size(); ++r) {
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(estimate.row_nnz_estimate[r]) /
-            config_.max_numeric_fill +
-        1.0);
-    if (faults != nullptr) {
-      numeric_entries[r] =
-          faults->scale_estimate(static_cast<index_t>(r), numeric_entries[r]);
-    }
-  }
-  sim::Launch numeric_lb_launch("numeric_lb", device_, model_);
-  const GlobalLbInputs numeric_inputs{std::span<const offset_t>(numeric_entries),
-                                      /*symbolic=*/false};
-  BinPlan numeric_plan =
-      plan_global_lb(numeric_inputs, kernel_configs_, config_, numeric_lb_launch);
-  diagnostics_.numeric_decision =
-      lb_decision_stats(numeric_inputs, kernel_configs_, config_);
-  diagnostics_.numeric_lb_used = numeric_plan.used_load_balancer;
-  diagnostics_.numeric_blocks = static_cast<int>(numeric_plan.blocks.size());
-  if (numeric_plan.used_load_balancer) {
-    sim::LaunchResult finished = numeric_lb_launch.finish();
-    result.timeline.add(sim::Stage::kNumericLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(numeric_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("numeric load balancing");
-  // Estimated C staging: one over-allocated slot per row (this is the
-  // allocation exact mode sizes from the symbolic counts).
-  offset_t staging_nnz = 0;
-  for (const index_t est : estimate.row_nnz_estimate) staging_nnz += est;
-  const std::size_t staging_bytes =
-      (static_cast<std::size_t>(a.rows()) + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(staging_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(staging_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "estimated output staging exceeds device memory";
-    return result;
-  }
-
-  // Stage 5' + 6': estimated numeric merge (discovers the exact pattern,
-  // re-running underflowed rows through the fallback) and compaction.
-  const std::size_t numeric_trace_mark = trace_.launches().size();
-  EstimatedNumericOutcome numeric =
-      run_numeric_estimated(ctx, numeric_plan, estimate.row_nnz_estimate);
-  diagnostics_.numeric = numeric.stats;
-  diagnostics_.radix_sorted_elements = numeric.radix_sorted_elements;
-  result.timeline.add(sim::Stage::kNumeric, numeric.stats.seconds);
-  result.timeline.add(sim::Stage::kSorting, numeric.sorting_seconds);
-  const offset_t c_nnz = numeric.c.nnz();
-  const std::size_t c_bytes =
-      (static_cast<std::size_t>(a.rows()) + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(c_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
-  }
-  memory.release(staging_bytes);
-
-  result.c = std::move(numeric.c);
-  result.seconds = result.timeline.total_seconds();
-  result.peak_memory_bytes = memory.peak_bytes();
-
-  if (capture != nullptr) {
-    SpeckPlan& plan = *capture;
-    plan.wide_keys = ctx.wide_keys;
-    // The plan stores the *actual* exact counts; the replay program's method
-    // selection is re-derived from the *estimates* — exactly what the
-    // estimated pass executed, which is what keeps replays bit-identical.
-    plan.row_nnz = std::move(numeric.row_nnz);
-    if (steal_pattern) {
-      std::vector<value_t> discarded_values;
-      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
-                           discarded_values);
-    } else {
-      const std::span<const offset_t> c_offsets = result.c.row_offsets();
-      const std::span<const index_t> c_cols = result.c.col_indices();
-      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
-      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
-    }
-    if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
-      plan.incomplete_reason =
-          "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program(ctx, numeric_plan,
-                                          estimate.row_nnz_estimate,
-                                          plan.c_row_offsets,
-                                          plan.c_col_indices);
-      plan.complete = true;
-    }
-    plan.analysis = std::move(estimate.analysis);
-    plan.numeric_plan = std::move(numeric_plan);
-    plan.diagnostics = diagnostics_;
-    plan.numeric_seconds = numeric.stats.seconds;
-    plan.sorting_seconds = numeric.sorting_seconds;
-    const std::vector<sim::LaunchResult>& launches = trace_.launches();
-    plan.replay_trace.assign(
-        launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
-        launches.end());
-    plan.inspect_seconds =
-        result.timeline.seconds(sim::Stage::kAnalysis) +
-        result.timeline.seconds(sim::Stage::kNumericLoadBalance);
-  }
-  return result;
-}
-
-SpGemmResult Speck::multiply_masked_full(const Csr& a, const Csr& b,
-                                         const Csr& mask, SpeckPlan* capture,
-                                         const CancelToken* cancel,
-                                         bool steal_pattern) {
-  const auto poll_cancel = [cancel](const char* phase) {
-    if (cancel != nullptr) cancel->check(phase);
-  };
-  poll_cancel("admission");
-  SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
-  validate_mask_input(a, b, mask, /*full=*/config_.validate_inputs);
-  if (config_.validate_inputs) validate_multiply_inputs(a, b);
-  std::optional<FaultInjector> injector;
-  if (config_.faults.enabled()) injector.emplace(config_.faults);
-  const FaultInjector* faults = injector ? &*injector : nullptr;
-
-  SpGemmResult result;
-  diagnostics_ = SpeckDiagnostics{};
-  diagnostics_.masked = true;
-  diagnostics_.wide_keys = b.cols() > kMaxColumns32Bit;
-  trace_.clear();
-
-  sim::MemoryTracker memory(faults != nullptr
-                                ? faults->cap_memory(device_.global_memory_bytes)
-                                : device_.global_memory_bytes);
-  // The mask is resident alongside the inputs for the whole multiply: the
-  // numeric kernels stream it row by row like they stream B.
-  if (!memory.allocate(a.byte_size() + b.byte_size() + mask.byte_size())) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "input matrices exceed device memory";
-    return result;
-  }
-
-  KernelContext ctx;
-  ctx.a = &a;
-  ctx.b = &b;
-  ctx.mask = &mask;
-  ctx.cfg = &config_;
-  ctx.configs = &kernel_configs_;
-  ctx.device = &device_;
-  ctx.model = &model_;
-  ctx.wide_keys = diagnostics_.wide_keys;
-  ctx.trace = &trace_;
-  ctx.pool = host_pool();
-  ctx.workspaces = &workspaces_;
-  ctx.faults = faults;
-  ctx.simd = simd::resolve_backend(config_.simd_backend);
-  ctx.partitions = resolve_partitions(config_.partitions);
-  ctx.partition_steal = config_.partition_steal;
-  diagnostics_.partition.partitions = ctx.partitions;
-  ctx.partition_diag = &diagnostics_.partition;
-  if (ctx.partitions > 1) {
-    ctx.team_workspaces = &team_workspaces_;
-    if (config_.numa_local_b) {
-      ensure_team_b(b, ctx);
-      ctx.team_b = &team_b_;
-    }
-  }
-
-  // Stage 1: the same lightweight row analysis as the exact pipeline — the
-  // product counts bound the per-row work and cap the accumulator demand.
-  sim::Launch analysis_launch("row_analysis", device_, model_);
-  RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool, faults);
-  ctx.analysis = &analysis;
-  diagnostics_.products = analysis.total_products;
-  {
-    sim::LaunchResult finished = analysis_launch.finish();
-    result.timeline.add(sim::Stage::kAnalysis, finished.seconds);
-    trace_.record(std::move(finished));
-  }
-  const std::size_t analysis_bytes =
-      static_cast<std::size_t>(a.rows()) *
-      (sizeof(offset_t) + 3 * sizeof(index_t));
-  if (!memory.allocate(analysis_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "row analysis buffers exceed device memory";
-    return result;
-  }
-
-  poll_cancel("row analysis");
-  // The symbolic pass is skipped entirely: the mask row *is* the candidate
-  // pattern, so the accumulator demand per row is the hard bound
-  // min(products, mask_row_nnz) — never an estimate, so there is no
-  // fallback machinery. Numeric binning runs off that demand inflated by
-  // the hash fill limit, exactly like exact mode inflates the symbolic
-  // counts.
-  const std::span<const offset_t> mask_offsets = mask.row_offsets();
-  const auto rows = static_cast<std::size_t>(a.rows());
-  std::vector<index_t> masked_demand(rows);
-  std::vector<offset_t> numeric_entries(rows);
-  offset_t staging_nnz = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const offset_t mask_len = mask_offsets[r + 1] - mask_offsets[r];
-    const offset_t demand = std::min(analysis.products[r], mask_len);
-    masked_demand[r] = static_cast<index_t>(demand);
-    staging_nnz += demand;
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(demand) / config_.max_numeric_fill + 1.0);
-    if (faults != nullptr) {
-      numeric_entries[r] =
-          faults->scale_estimate(static_cast<index_t>(r), numeric_entries[r]);
-    }
-  }
-  sim::Launch numeric_lb_launch("numeric_lb", device_, model_);
-  const GlobalLbInputs numeric_inputs{std::span<const offset_t>(numeric_entries),
-                                      /*symbolic=*/false};
-  BinPlan numeric_plan =
-      plan_global_lb(numeric_inputs, kernel_configs_, config_, numeric_lb_launch);
-  diagnostics_.numeric_decision =
-      lb_decision_stats(numeric_inputs, kernel_configs_, config_);
-  diagnostics_.numeric_lb_used = numeric_plan.used_load_balancer;
-  diagnostics_.numeric_blocks = static_cast<int>(numeric_plan.blocks.size());
-  if (numeric_plan.used_load_balancer) {
-    sim::LaunchResult finished = numeric_lb_launch.finish();
-    result.timeline.add(sim::Stage::kNumericLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(numeric_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("numeric load balancing");
-  // Masked C staging: one slot per admissible (mask ∩ demand) position.
-  const std::size_t staging_bytes =
-      (rows + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(staging_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(staging_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "masked output staging exceeds device memory";
-    return result;
-  }
-
-  // Stage 5'': masked numeric pass. No sorting stage follows — mask rows
-  // are ascending, so extraction emits C already in final order.
-  const std::size_t numeric_trace_mark = trace_.launches().size();
-  MaskedNumericOutcome numeric =
-      run_numeric_masked(ctx, numeric_plan, masked_demand);
-  diagnostics_.numeric = numeric.stats;
-  result.timeline.add(sim::Stage::kNumeric, numeric.stats.seconds);
-  if (numeric.stats.global_pool_bytes > 0) {
-    if (!memory.allocate(numeric.stats.global_pool_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "global hash pool exceeds device memory";
-      return result;
-    }
-    memory.release(numeric.stats.global_pool_bytes);
-  }
-  const offset_t c_nnz = numeric.c.nnz();
-  const std::size_t c_bytes =
-      (rows + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(c_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
-  }
-  memory.release(staging_bytes);
-
-  result.c = std::move(numeric.c);
-  result.seconds = result.timeline.total_seconds();
-  result.peak_memory_bytes = memory.peak_bytes();
-
-  if (capture != nullptr) {
-    SpeckPlan& plan = *capture;
-    plan.wide_keys = ctx.wide_keys;
-    plan.row_nnz = std::move(numeric.row_nnz);
-    if (steal_pattern) {
-      std::vector<value_t> discarded_values;
-      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
-                           discarded_values);
-    } else {
-      const std::span<const offset_t> c_offsets = result.c.row_offsets();
-      const std::span<const index_t> c_cols = result.c.col_indices();
-      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
-      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
-    }
-    if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
-      plan.incomplete_reason =
-          "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program_masked(ctx, plan.c_row_offsets,
-                                                 plan.c_col_indices);
-      plan.complete = true;
-    }
-    plan.analysis = std::move(analysis);
-    plan.numeric_plan = std::move(numeric_plan);
-    plan.diagnostics = diagnostics_;
-    plan.numeric_seconds = numeric.stats.seconds;
-    plan.sorting_seconds = 0.0;
-    const std::vector<sim::LaunchResult>& launches = trace_.launches();
-    plan.replay_trace.assign(
-        launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
-        launches.end());
-    plan.inspect_seconds =
-        result.timeline.seconds(sim::Stage::kAnalysis) +
-        result.timeline.seconds(sim::Stage::kNumericLoadBalance);
-  }
-  return result;
+  SymbolicEstimate estimate;
+  estimate.row_nnz = std::move(run.row_sizes());
+  estimate.c_nnz = total(estimate.row_nnz);
+  estimate.products = run.analysis().total_products;
+  estimate.seconds = run.inspect_seconds();
+  return estimate;
 }
 
 Speck::TryMultiplyOutcome Speck::try_multiply(const Csr& a,

@@ -19,6 +19,8 @@
 
 namespace speck {
 
+struct SymbolicEstimate;
+
 class Speck final : public SpGemmAlgorithm {
  public:
   Speck(sim::DeviceSpec device, sim::CostModel model, SpeckConfig config = {})
@@ -89,7 +91,8 @@ class Speck final : public SpGemmAlgorithm {
   /// only the numeric + sorting stages). The plan's fingerprint is verified
   /// first — the O(nnz) pattern-hash check under `validate_inputs`, the
   /// O(1) dims/nnz/config check otherwise; a mismatched or incomplete plan
-  /// falls back to the full pipeline and sets
+  /// falls back to the full pipeline — masked by SpeckConfig::mask when one
+  /// is configured, like multiply() — and sets
   /// `last_diagnostics().plan_fallback`. Single-caller API (mutates
   /// last_diagnostics()/last_trace()); concurrent clients use the const
   /// overload below.
@@ -142,41 +145,42 @@ class Speck final : public SpGemmAlgorithm {
   PlanCache& plan_cache();
 
  private:
-  /// The full pipeline (analysis → LB → symbolic → LB → numeric → sort).
-  /// When `capture` is non-null and the run succeeds, the plan is filled
-  /// with the frozen structure state and replay program. A non-null
-  /// `cancel` token is polled at every stage boundary and throws
-  /// DeadlineExceeded when expired. `steal_pattern` is a promise from the
-  /// caller that the returned result will be discarded: the capture block
-  /// then moves the C pattern arrays out of result.c into the plan instead
-  /// of copying them (result.c comes back empty).
-  SpGemmResult multiply_full(const Csr& a, const Csr& b, SpeckPlan* capture,
-                             const CancelToken* cancel = nullptr,
-                             bool steal_pattern = false);
+  /// One run of the pipeline: its per-run state and the steps every stage
+  /// repeats (defined in speck.cpp).
+  class PipelineRun;
+  friend SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a,
+                                            const Csr& b);
 
-  /// The estimated-planning pipeline (sampled estimator → LB → estimated
-  /// numeric merge with exact fallback; the symbolic pass is skipped
-  /// entirely). Entered from multiply_full when the resolved
-  /// SpeckConfig::planning is kEstimated; `ctx` and `memory` carry the
-  /// preamble state multiply_full already set up. Results are bit-identical
-  /// to the exact pipeline (docs/performance.md "Estimated planning").
-  SpGemmResult multiply_estimated(const Csr& a, const Csr& b,
-                                  SpeckPlan* capture, const CancelToken* cancel,
-                                  KernelContext& ctx, sim::MemoryTracker& memory,
-                                  bool steal_pattern);
+  /// multiply() / multiply_masked() behind the transparent plan cache;
+  /// `mask` is null for an unmasked product.
+  SpGemmResult multiply_cached(const Csr& a, const Csr& b, const Csr* mask);
 
-  /// The masked pipeline (analysis → numeric LB off min(products,
-  /// mask_row_nnz) → masked numeric; no symbolic pass, no sorting — mask
-  /// rows are ascending so the output is born sorted). Same capture /
-  /// cancel / steal_pattern contract as multiply_full.
-  SpGemmResult multiply_masked_full(const Csr& a, const Csr& b,
-                                    const Csr& mask, SpeckPlan* capture,
-                                    const CancelToken* cancel = nullptr,
-                                    bool steal_pattern = false);
+  /// plan() / plan_masked(): a capturing pipeline run.
+  SpeckPlan plan_for(const Csr& a, const Csr& b, const Csr* mask,
+                     SpGemmResult* full_result, const CancelToken* cancel);
 
-  /// The values-only replay of a verified plan (legacy single-caller form:
-  /// writes this instance's diagnostics and trace).
-  SpGemmResult replay_plan(const SpeckPlan& plan, const Csr& a, const Csr& b);
+  /// The pipeline (paper Fig. 2): row analysis → row sizes → numeric LB →
+  /// numeric pass. The row sizes come from the symbolic pass (exact
+  /// planning), the sampled estimator (estimated planning) or the mask rows
+  /// (non-null `mask`), and select the matching numeric kernel. When
+  /// `capture` is non-null and the run succeeds, the plan is filled with
+  /// the frozen structure state and replay program. A non-null `cancel`
+  /// token is polled at every stage boundary and throws DeadlineExceeded
+  /// when expired. `steal_pattern` is a promise from the caller that the
+  /// returned result will be discarded: the capture then moves the C
+  /// pattern arrays out of result.c into the plan instead of copying them
+  /// (result.c comes back empty).
+  SpGemmResult run_pipeline(const Csr& a, const Csr& b, const Csr* mask,
+                            SpeckPlan* capture,
+                            const CancelToken* cancel = nullptr,
+                            bool steal_pattern = false);
+
+  /// The const replay entry points: a serial replay of a verified plan
+  /// into result.c (`out` null) or `*out`, or kUnsupported naming why the
+  /// plan was rejected.
+  SpGemmResult replay_or_reject(const SpeckPlan& plan, const Csr& a,
+                                const Csr& b, SpeckDiagnostics* diag,
+                                std::span<value_t>* out) const;
 
   /// Shared replay core. Const and member-state-free: diagnostics and the
   /// launch trace are only written through the out-params, values go to
@@ -230,6 +234,9 @@ struct SymbolicEstimate {
   double seconds = 0.0;
 };
 
+/// Runs the exact pipeline up to numeric binning without touching the
+/// instance's last_diagnostics() or last_trace(); throws ResourceExhausted
+/// when those stages exceed the simulated device memory.
 SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b);
 
 }  // namespace speck

@@ -115,6 +115,32 @@ TEST(SymbolicEstimate, MatchesOracleCounts) {
   EXPECT_GT(estimate.products, estimate.c_nnz);  // compaction >= 1
 }
 
+TEST(SymbolicEstimate, MatchesExactPipelinePrefix) {
+  SpeckConfig cfg;
+  cfg.planning = PlanningMode::kExact;
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+  const Csr a = gen::power_law(600, 600, 8, 1.8, 150, 1905);
+  const SpeckPlan plan = speck.plan(a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  const std::size_t launches = speck.last_trace().launches().size();
+  const SymbolicEstimate estimate = symbolic_estimate(speck, a, a);
+  // The same stages as a full multiply up to numeric binning, charged alike.
+  EXPECT_EQ(estimate.row_nnz, plan.row_nnz);
+  EXPECT_EQ(estimate.c_nnz, plan.c_nnz());
+  EXPECT_EQ(estimate.products, plan.analysis.total_products);
+  EXPECT_EQ(estimate.seconds, plan.inspect_seconds);
+  // The estimate leaves the last multiply's trace alone.
+  EXPECT_EQ(speck.last_trace().launches().size(), launches);
+}
+
+TEST(SymbolicEstimate, DeviceMemoryBudgetIsTypedFailure) {
+  SpeckConfig cfg;
+  cfg.faults.memory_budget_bytes = 2048;
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+  const Csr a = gen::random_uniform(300, 300, 8, 1907);
+  EXPECT_THROW(symbolic_estimate(speck, a, a), ResourceExhausted);
+}
+
 TEST(SymbolicEstimate, CheaperThanFullMultiply) {
   Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{});
   const Csr a = gen::random_uniform(3000, 3000, 10, 1903);

@@ -7,11 +7,13 @@
 // under deliberately hostile estimates.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "gen/corpus.h"
+#include "gen/generators.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
 #include "speck/speck.h"
@@ -144,6 +146,74 @@ TEST(FaultMatrix, TightMemoryBudgetIsTypedFailure) {
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status.code, ErrorCode::kResourceExhausted);
   EXPECT_FALSE(outcome.status.message.empty());
+}
+
+/// Peak device memory of an unbudgeted run, plus every distinct OOM
+/// failure_reason a geometric memory-budget sweep (x0.97 per step, from
+/// peak + 1 down to 64 bytes) reaches.
+struct OomSweep {
+  std::size_t peak = 0;
+  std::set<std::string> exits;
+};
+
+OomSweep sweep_memory_budget(PlanningMode planning, const Csr& a,
+                             const Csr* mask) {
+  const auto run = [&](std::size_t budget) {
+    SpeckConfig config;
+    // Pinned so SPECK_PLANNING cannot move the expectations.
+    config.planning = planning;
+    config.plan_cache = false;
+    config.faults.memory_budget_bytes = budget;
+    Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, config);
+    return mask != nullptr ? speck.multiply_masked(a, a, *mask)
+                           : speck.multiply(a, a);
+  };
+  OomSweep sweep;
+  const SpGemmResult full = run(0);
+  EXPECT_TRUE(full.ok()) << full.failure_reason;
+  sweep.peak = full.peak_memory_bytes;
+  for (double budget = static_cast<double>(sweep.peak + 1); budget >= 64.0;
+       budget *= 0.97) {
+    const SpGemmResult result = run(static_cast<std::size_t>(budget));
+    if (result.ok()) continue;
+    EXPECT_EQ(result.status, SpGemmStatus::kOutOfMemory) << result.failure_reason;
+    sweep.exits.insert(result.failure_reason);
+  }
+  return sweep;
+}
+
+// Pins the simulated device-memory footprint of each pipeline mode and the
+// OOM exits a shrinking budget reaches, so the allocation order and sizes
+// stay fixed across refactors of the pipeline driver. Replay is left out:
+// the budget is part of the plan fingerprint, so a budgeted replay always
+// falls back to the full pipeline.
+TEST(FaultMatrix, OomExitsPerPipelineMode) {
+  const Csr a = gen::power_law(2000, 2000, 6, 1.8, 100, 2);
+  const Csr mask = gen::random_uniform(2000, 2000, 9, 3);
+  const std::string input = "input matrices exceed device memory";
+  const std::string output = "output matrix exceeds device memory";
+
+  const OomSweep exact = sweep_memory_budget(PlanningMode::kExact, a, nullptr);
+  EXPECT_EQ(exact.peak, 1108396u);
+  EXPECT_EQ(exact.exits, (std::set<std::string>{
+                             input, "row analysis buffers exceed device memory",
+                             output}));
+
+  const OomSweep estimated =
+      sweep_memory_budget(PlanningMode::kEstimated, a, nullptr);
+  EXPECT_EQ(estimated.peak, 1954712u);
+  EXPECT_EQ(estimated.exits,
+            (std::set<std::string>{
+                input, "row estimation buffers exceed device memory",
+                "load balancer buffers exceed device memory",
+                "estimated output staging exceeds device memory", output}));
+
+  const OomSweep masked = sweep_memory_budget(PlanningMode::kExact, a, &mask);
+  EXPECT_EQ(masked.peak, 754288u);
+  EXPECT_EQ(masked.exits,
+            (std::set<std::string>{
+                input, "row analysis buffers exceed device memory",
+                "masked output staging exceeds device memory"}));
 }
 
 TEST(FaultInjector, EstimateScalingIsDeterministic) {

@@ -177,6 +177,30 @@ TEST(MaskedSpeck, PlanRejectedWithoutConfiguredMask) {
   EXPECT_FALSE(speck.last_diagnostics().plan_fallback_reason.empty());
 }
 
+TEST(MaskedSpeck, PlanFallbackHonoursConfiguredMask) {
+  const Csr a = gen::random_uniform(100, 100, 5, 3027);
+  const Csr mask = gen::random_uniform(100, 100, 9, 4001);
+  SpeckConfig cfg;
+  cfg.mask = std::make_shared<const Csr>(mask);
+  Speck speck = make_speck(cfg);
+  const SpGemmResult direct = speck.multiply(a, a);
+  ASSERT_TRUE(direct.ok()) << direct.failure_reason;
+  EXPECT_EQ(direct.c.nnz(), 196);
+  // A plan the configured mask rejects — unmasked, or masked under another
+  // mask — falls back to the product multiply() computes: (A·A) ∘ mask.
+  const SpeckPlan unmasked = speck.plan(a, a);
+  const SpeckPlan other_mask =
+      speck.plan_masked(a, a, gen::random_uniform(100, 100, 6, 3029));
+  for (const SpeckPlan* plan : {&unmasked, &other_mask}) {
+    const SpGemmResult result = speck.multiply_with_plan(*plan, a, a);
+    ASSERT_TRUE(result.ok()) << result.failure_reason;
+    EXPECT_TRUE(speck.last_diagnostics().plan_fallback);
+    EXPECT_TRUE(speck.last_diagnostics().masked);
+    const auto diff = compare(result.c, direct.c, 0.0);
+    EXPECT_FALSE(diff.has_value()) << diff->description;
+  }
+}
+
 TEST(MaskedSpeck, TransparentCacheHitsOnRepeat) {
   Speck speck = make_speck();
   const Csr a = gen::random_uniform(200, 200, 6, 3031);

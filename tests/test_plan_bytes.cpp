@@ -107,5 +107,19 @@ TEST(PlanBytes, EstimateIsAnAdmissionSafeUpperBoundOnTheProgram) {
   EXPECT_LT(estimate, 10u * plan.byte_size());
 }
 
+TEST(PlanBytes, ReplayIndicesFitBelowTwoToThe31) {
+  // Each nnz is checked on its own: 2^31 - 1 is the last that fits the
+  // 31-bit value slot, 2^31 collides with the kAssignFirst flag.
+  constexpr std::uint64_t kLast = (1ULL << 31) - 1;
+  constexpr std::uint64_t kFirstTooBig = 1ULL << 31;
+  EXPECT_TRUE(replay_indices_fit(kLast, kLast, kLast));
+  EXPECT_FALSE(replay_indices_fit(kFirstTooBig, 0, 0));
+  EXPECT_FALSE(replay_indices_fit(0, kFirstTooBig, 0));
+  EXPECT_FALSE(replay_indices_fit(0, 0, kFirstTooBig));
+  EXPECT_TRUE(replay_indices_fit(kLast, 0, 0));
+  EXPECT_TRUE(replay_indices_fit(0, kLast, 0));
+  EXPECT_TRUE(replay_indices_fit(0, 0, kLast));
+}
+
 }  // namespace
 }  // namespace speck
