@@ -8,8 +8,6 @@
 // intermediate-product count (computable in O(nnz) without multiplying).
 #pragma once
 
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "ref/spgemm_api.h"
@@ -42,43 +40,18 @@ struct ChainResult {
 /// greedily contracting the cheapest adjacent pair first.
 ChainResult multiply_chain(std::vector<Csr> chain, SpGemmAlgorithm& algorithm);
 
-/// One SpeckPlan per distinct link structure of a chain, keyed by full
-/// structural fingerprint. Iterative applications re-multiply the same
-/// chain with fresh values (AMG re-setup, R·A·P with a changing A): keep
-/// one cache alive across multiply_chain calls and every link after the
-/// first full pass runs the values-only replay. Contraction order is
-/// value-independent (exact product counts of the structure), so a chain's
-/// link structures recur exactly.
-///
-/// A thin veneer over the sharded PlanCache (one shard: chain links are
-/// consulted by one caller, and an unbounded-by-default budget keeps every
-/// link warm — a chain's working set is the caller's deliberate choice).
-class ChainPlanCache {
- public:
-  explicit ChainPlanCache(
-      std::size_t limit_bytes = std::numeric_limits<std::size_t>::max())
-      : cache_(/*shards=*/1, limit_bytes) {}
-
-  /// The cached plan matching `fp`, or null. The shared_ptr keeps the plan
-  /// alive across a concurrent eviction.
-  std::shared_ptr<const SpeckPlan> find(const PlanFingerprint& fp);
-
-  /// Takes ownership of a freshly built plan (incomplete plans are dropped
-  /// — they could never replay).
-  void insert(SpeckPlan plan);
-
-  std::size_t size() const { return cache_.entries(); }
-  std::size_t byte_size() const { return cache_.bytes(); }
-
- private:
-  PlanCache cache_;
-};
-
 /// Plan-aware chain multiplication with `speck`: every contraction first
 /// consults `cache` (full fingerprint match) and replays on a hit; misses
 /// run the full pipeline once and cache its plan for the next call.
+/// Iterative applications re-multiply the same chain with fresh values (AMG
+/// re-setup, R·A·P with a changing A): keep one cache alive across calls and
+/// every link after the first full pass runs the values-only replay.
+/// Contraction order is value-independent (exact product counts of the
+/// structure), so a chain's link structures recur exactly. A one-shard
+/// cache with an unbounded budget (`PlanCache(1, SIZE_MAX)`) keeps every
+/// link warm — a chain's working set is the caller's deliberate choice.
 ChainResult multiply_chain(std::vector<Csr> chain, Speck& speck,
-                           ChainPlanCache& cache);
+                           PlanCache& cache);
 
 /// Products of every adjacent pair in the chain (the greedy decision data).
 std::vector<offset_t> chain_pair_products(const std::vector<Csr>& chain);

@@ -61,8 +61,6 @@ void validate(const SpeckConfig& config) {
                 "fixed_group_size must be a positive power of two");
   SPECK_REQUIRE(config.host_threads >= 0,
                 "host_threads must be >= 0 (0 = process-wide default)");
-  SPECK_REQUIRE(config.plan_cache_shards >= 1,
-                "plan_cache_shards must be >= 1");
   SPECK_REQUIRE(simd::backend_available(config.simd_backend),
                 std::string("simd_backend '") +
                     simd::backend_name(config.simd_backend) +
@@ -115,8 +113,6 @@ std::string describe(const SpeckConfig& config) {
          (config.host_threads == 0 ? " (process default)" : "") + "\n";
   out += "plan_cache                 = " +
          std::string(config.plan_cache ? "true" : "false") + "\n";
-  out += "plan_cache_shards          = " +
-         std::to_string(config.plan_cache_shards) + "\n";
   out += "plan_cache_limit_bytes     = " +
          std::to_string(config.plan_cache_limit_bytes) + "\n";
   out += "simd_backend               = " +
@@ -145,8 +141,6 @@ std::string describe(const SpeckConfig& config) {
          "\n";
   out += "partition_steal            = " +
          std::string(config.partition_steal ? "true" : "false") + "\n";
-  out += "numa_local_b               = " +
-         std::string(config.numa_local_b ? "true" : "false") + "\n";
   out += "estimator_samples          = " +
          std::to_string(config.estimator_samples) + "\n";
   out += "estimator_safety_margin    = " +

@@ -150,13 +150,9 @@ struct SpeckConfig {
   /// SpeckPlan and every later one runs the values-only replay
   /// (docs/performance.md "Structure reuse"). Results stay bit-identical;
   /// only the skipped stages disappear from the timeline. Plans for
-  /// different patterns coexist in a sharded LRU cache (docs/service.md).
+  /// different patterns coexist in an LRU cache (docs/service.md).
   /// Off: every multiply runs the full pipeline.
   bool plan_cache = true;
-  /// Shards of the transparent plan cache. More shards cut mutex contention
-  /// when many threads serve disjoint patterns through one Speck/service;
-  /// 1 gives a single global LRU order. Must be >= 1.
-  int plan_cache_shards = 4;
   /// SIMD backend for the kernel hot loops (docs/performance.md "SIMD
   /// backends"). kAuto resolves via the SPECK_SIMD environment variable,
   /// then CPU detection; a concrete value is used verbatim (construction
@@ -207,15 +203,6 @@ struct SpeckConfig {
   /// is conserved either way; only the victim choice differs), which
   /// isolates the stealing heuristic for benchmarks and tests.
   bool partition_steal = true;
-  /// With partitions > 1, give every team its own first-touch copy of B:
-  /// team t's lanes copy it inside the team (so on a NUMA host with pinned
-  /// threads the pages land on the team's node) and all of the team's B-row
-  /// gathers — including for stolen chunks — read the local copy. Copies
-  /// are byte-identical, so results are unchanged; this trades memory
-  /// (partitions x B bytes) for locality, analogous to
-  /// MultiGpuConfig::replicate_b. Copies persist across multiplies and
-  /// reuse capacity, keeping the steady state allocation-free.
-  bool numa_local_b = false;
   /// Re-validates the structural invariants of both inputs (and their
   /// within-row sortedness, which the analysis relies on) at the start of
   /// every multiply; violations raise BadInput. Off by default: matrices

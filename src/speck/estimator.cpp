@@ -379,14 +379,14 @@ EstimatedNumericOutcome run_numeric_estimated(
 
   detail::execute_block_plan<std::monostate>(
       ctx, plan, "numeric_est/", out.stats,
-      [&](const KernelContext& bctx, const sim::Launch& launch,
-          const KernelConfig& config, int /*config_index*/,
-          std::span<const index_t> block_rows, PassStats& counters,
-          std::monostate& /*payload*/, KernelWorkspace& ws) {
+      [&](const sim::Launch& launch, const KernelConfig& config,
+          int /*config_index*/, std::span<const index_t> block_rows,
+          PassStats& counters, std::monostate& /*payload*/,
+          KernelWorkspace& ws) {
         auto cost = launch.make_block(config.threads, config.scratchpad_bytes);
-        const BlockRowStats row_stats = detail::block_stats(bctx, block_rows);
+        const BlockRowStats row_stats = detail::block_stats(ctx, block_rows);
         const LocalLbDecision lb =
-            choose_group_size(config.threads, row_stats, bctx.cfg->features);
+            choose_group_size(config.threads, row_stats, ctx.cfg->features);
 
         std::size_t touches = 0;
         std::size_t written = 0;
@@ -397,7 +397,7 @@ EstimatedNumericOutcome run_numeric_estimated(
           const index_t cap = row_nnz_estimate[ri];
           const auto base = static_cast<std::size_t>(est_offsets_ptr[ri]);
           const index_t actual =
-              merge_row(bctx, r, method, cap, staging_cols_ptr + base,
+              merge_row(ctx, r, method, cap, staging_cols_ptr + base,
                         staging_vals_ptr + base, ws, touches);
           out.row_nnz[ri] = actual;
           if (actual > cap) {
@@ -416,7 +416,7 @@ EstimatedNumericOutcome run_numeric_estimated(
           }
         }
 
-        detail::charge_row_sweep(cost, bctx, block_rows, lb.group_size,
+        detail::charge_row_sweep(cost, ctx, block_rows, lb.group_size,
                                  /*numeric=*/true, ws);
         cost.smem_atomic(static_cast<double>(touches));  // scatter-map merge
         cost.issued(static_cast<double>(sorted), 4.0);   // in-slot pair sort

@@ -117,10 +117,6 @@ struct KernelContext {
   /// Optional: partition-local workspace pools. When null and partitions > 1
   /// the pass driver falls back to a pass-local set (results identical).
   PartitionWorkspaces* team_workspaces = nullptr;
-  /// Optional: per-team first-touch copies of B (SpeckConfig::numa_local_b);
-  /// when non-null and sized to `partitions`, team t's block bodies read
-  /// (*team_b)[t] instead of *b. Copies are byte-identical to *b.
-  const std::vector<Csr>* team_b = nullptr;
 
   /// Scratchpad capacity after fault injection (identity when none).
   std::size_t effective_capacity(std::size_t capacity) const {

@@ -157,12 +157,9 @@ void charge_hash_activity(sim::BlockCost& cost, const Accumulator& acc,
 /// functions of the block list, so results are bit-identical to the flat
 /// path; only ctx.partition_diag observes the schedule.
 ///
-/// `run_block(bctx, launch, config, config_index, rows, counters, payload,
-/// ws)` returns the block's sim::BlockCost and must read A/B through `bctx`
-/// (equal to ctx except that on a partitioned run with ctx.team_b set, `b`
-/// points at the executing team's first-touch copy); `commit(payload)` runs
-/// serially per block (pass Payload = std::monostate and a no-op when not
-/// needed).
+/// `run_block(launch, config, config_index, rows, counters, payload, ws)`
+/// returns the block's sim::BlockCost; `commit(payload)` runs serially per
+/// block (pass Payload = std::monostate and a no-op when not needed).
 template <typename Payload, typename RunBlock, typename Commit>
 void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
                         const char* launch_prefix, PassStats& pass_stats,
@@ -175,7 +172,6 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
   WorkspacePool* workspaces = nullptr;
   PartitionWorkspaces local_team_workspaces;
   PartitionWorkspaces* team_workspaces = nullptr;
-  std::vector<KernelContext> team_ctx;
   if (partitioned) {
     team_workspaces = ctx.team_workspaces != nullptr ? ctx.team_workspaces
                                                      : &local_team_workspaces;
@@ -185,14 +181,6 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
                        partition_team_lanes(t, pool.thread_count(), parts));
     }
     team_workspaces->ensure(parts, slots);
-    team_ctx.assign(static_cast<std::size_t>(parts), ctx);
-    if (ctx.team_b != nullptr &&
-        ctx.team_b->size() == static_cast<std::size_t>(parts)) {
-      for (int t = 0; t < parts; ++t) {
-        team_ctx[static_cast<std::size_t>(t)].b =
-            &(*ctx.team_b)[static_cast<std::size_t>(t)];
-      }
-    }
   } else {
     workspaces = ctx.workspaces != nullptr ? ctx.workspaces : &local_workspaces;
     workspaces->ensure(pool.thread_count());
@@ -210,13 +198,13 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
     std::vector<PassStats> block_counters(blocks.size());
     std::vector<Payload> payloads(blocks.size());
     const auto run_range = [&](std::size_t begin, std::size_t end,
-                               const KernelContext& bctx, KernelWorkspace& ws) {
+                               KernelWorkspace& ws) {
       for (std::size_t i = begin; i < end; ++i) {
         const std::span<const index_t> rows(
             plan.row_order.data() + blocks[i]->begin,
             blocks[i]->end - blocks[i]->begin);
         const std::size_t allocs_before = alloc_events_now();
-        costs[i] = run_block(bctx, launch, config, static_cast<int>(c), rows,
+        costs[i] = run_block(launch, config, static_cast<int>(c), rows,
                              block_counters[i], payloads[i], ws);
         block_counters[i].hot_path_allocs += alloc_events_now() - allocs_before;
       }
@@ -224,7 +212,7 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
     if (!partitioned) {
       pool.parallel_for(blocks.size(), kBlockChunk,
                         [&](std::size_t begin, std::size_t end, int worker) {
-                          run_range(begin, end, ctx, workspaces->at(worker));
+                          run_range(begin, end, workspaces->at(worker));
                         });
     } else {
       // Cut the chunk space along the same per-row product weights the
@@ -248,8 +236,7 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
       pool.partitioned_for(
           blocks.size(), kBlockChunk, bounds, ctx.partition_steal,
           [&](std::size_t begin, std::size_t end, int team, int slot) {
-            run_range(begin, end, team_ctx[static_cast<std::size_t>(team)],
-                      team_workspaces->team(team).at(slot));
+            run_range(begin, end, team_workspaces->team(team).at(slot));
           },
           ctx.partition_diag != nullptr ? &run_diag : nullptr);
       if (ctx.partition_diag != nullptr) ctx.partition_diag->merge(run_diag);

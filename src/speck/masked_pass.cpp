@@ -267,39 +267,38 @@ MaskedNumericOutcome run_numeric_masked(const KernelContext& ctx,
 
   detail::execute_block_plan<std::monostate>(
       ctx, plan, "numeric_masked/", out.stats,
-      [&](const KernelContext& bctx, const sim::Launch& launch,
-          const KernelConfig& config, int /*config_index*/,
-          std::span<const index_t> block_rows, PassStats& counters,
-          std::monostate& /*payload*/, KernelWorkspace& ws) {
+      [&](const sim::Launch& launch, const KernelConfig& config,
+          int /*config_index*/, std::span<const index_t> block_rows,
+          PassStats& counters, std::monostate& /*payload*/,
+          KernelWorkspace& ws) {
         auto cost = launch.make_block(config.threads, config.scratchpad_bytes);
-        const BlockRowStats row_stats = detail::block_stats(bctx, block_rows);
+        const BlockRowStats row_stats = detail::block_stats(ctx, block_rows);
         const LocalLbDecision lb =
-            choose_group_size(config.threads, row_stats, bctx.cfg->features);
+            choose_group_size(config.threads, row_stats, ctx.cfg->features);
 
         MaskedRowCost rc;
         for (const index_t r : block_rows) {
           const auto ri = static_cast<std::size_t>(r);
           const RowMethod method = methods[ri];
           const auto base = static_cast<std::size_t>(masked_offsets_ptr[ri]);
-          rc.mask_words +=
-              static_cast<std::size_t>(bctx.mask->row_length(r));
+          rc.mask_words += static_cast<std::size_t>(ctx.mask->row_length(r));
           index_t actual = 0;
           // A row with no products or an empty mask row is empty; skipping
           // it early keeps huge-mask/empty-A rows from paying a seed pass.
           if (masked_demand[ri] > 0) {
             switch (method) {
               case RowMethod::kDirect:
-                actual = masked_direct_row(bctx, r, staging_cols_ptr + base,
+                actual = masked_direct_row(ctx, r, staging_cols_ptr + base,
                                            staging_vals_ptr + base, rc);
                 break;
               case RowMethod::kDense:
-                actual = masked_dense_row(bctx, config, r,
+                actual = masked_dense_row(ctx, config, r,
                                           staging_cols_ptr + base,
                                           staging_vals_ptr + base, ws.dense(),
                                           rc);
                 break;
               case RowMethod::kHash:
-                actual = masked_hash_row(bctx, config, r,
+                actual = masked_hash_row(ctx, config, r,
                                          staging_cols_ptr + base,
                                          staging_vals_ptr + base, ws, cost,
                                          counters, rc);
@@ -317,7 +316,7 @@ MaskedNumericOutcome run_numeric_masked(const KernelContext& ctx,
           }
         }
 
-        detail::charge_row_sweep(cost, bctx, block_rows, lb.group_size,
+        detail::charge_row_sweep(cost, ctx, block_rows, lb.group_size,
                                  /*numeric=*/true, ws);
         cost.global_coalesced(rc.mask_words);  // mask columns (seed/gather)
         cost.smem(2.0 * static_cast<double>(rc.touches));  // window scatter

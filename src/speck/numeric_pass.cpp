@@ -297,11 +297,10 @@ NumericOutcome run_numeric(const KernelContext& ctx, const BinPlan& plan,
   // serial commit of costs and radix contributions.
   detail::execute_block_plan<RadixContribution>(
       ctx, plan, "numeric/", out.stats,
-      [&](const KernelContext& bctx, const sim::Launch& launch,
-          const KernelConfig& config, int config_index,
-          std::span<const index_t> rows, PassStats& counters,
+      [&](const sim::Launch& launch, const KernelConfig& config,
+          int config_index, std::span<const index_t> rows, PassStats& counters,
           RadixContribution& radix, KernelWorkspace& ws) {
-        return run_numeric_block(bctx, launch, config, config_index,
+        return run_numeric_block(ctx, launch, config, config_index,
                                  /*largest_sorts_via_radix=*/config_index > 2,
                                  rows, row_nnz, offsets, out_cols, out_vals,
                                  counters, radix, ws);

@@ -60,10 +60,10 @@ std::uint64_t planning_config_hash(const SpeckConfig& cfg) {
   h = mix(h, cfg.estimator_seed);
 
   // Execution-shape knobs stay out of the hash on purpose, exactly like
-  // host_threads: partitions / partition_steal / numa_local_b only move
-  // work between teams and never change a single output byte or PassStats
-  // counter (the two-level executor's bit-identity invariant), so a plan
-  // built at any partition count replays correctly at every other.
+  // host_threads: partitions / partition_steal only move work between teams
+  // and never change a single output byte or PassStats counter (the
+  // two-level executor's bit-identity invariant), so a plan built at any
+  // partition count replays correctly at every other.
 
   // Only the pipeline-affecting fault fields enter the hash: the serving
   // faults (plan_fail_mod, plan_delay_ms, admission_bytes_scale,
@@ -144,6 +144,14 @@ PlanFingerprint plan_fingerprint_masked(const Csr& a, const Csr& b,
   fp.mask_nnz = mask.nnz();
   if (with_pattern_hashes) fp.mask_pattern_hash = csr_pattern_hash(mask);
   return fp;
+}
+
+PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b, const Csr* mask,
+                                 const SpeckConfig& cfg,
+                                 bool with_pattern_hashes) {
+  return mask != nullptr
+             ? plan_fingerprint_masked(a, b, *mask, cfg, with_pattern_hashes)
+             : plan_fingerprint(a, b, cfg, with_pattern_hashes);
 }
 
 namespace {

@@ -86,6 +86,14 @@ PlanFingerprint plan_fingerprint_masked(const Csr& a, const Csr& b,
                                         const Csr& mask, const SpeckConfig& cfg,
                                         bool with_pattern_hashes = true);
 
+/// The plan-cache key of (a, b): plan_fingerprint_masked when `mask` is
+/// non-null, plan_fingerprint otherwise. Masked and unmasked structures
+/// never collide. Every plan lookup (Speck, SpeckService, multiply_chain)
+/// keys by this.
+PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b, const Csr* mask,
+                                 const SpeckConfig& cfg,
+                                 bool with_pattern_hashes = true);
+
 /// Per-run diagnostics beyond the common SpGemmResult (used by tests and
 /// the ablation benchmarks).
 struct SpeckDiagnostics {

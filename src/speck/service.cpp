@@ -284,10 +284,8 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
   // A mask on the wrapped Speck's config turns every request into a masked
   // product: the fingerprint (and thus the cache key) carries the mask
   // pattern, so masked and unmasked plans for one structure never collide.
-  const Csr* mask = speck_.config().mask.get();
   const PlanFingerprint fp =
-      mask != nullptr ? plan_fingerprint_masked(a, b, *mask, speck_.config())
-                      : plan_fingerprint(a, b, speck_.config());
+      plan_fingerprint(a, b, speck_.config().mask.get(), speck_.config());
   const std::uint64_t key = plan_key_hash(fp);
 
   // True when the request had to block anywhere — the plan mutex or the
@@ -356,32 +354,20 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
                              "SpeckService"};
         return resp;
       }
-      const std::size_t build_bytes =
-          admission_bytes(estimate_plan_bytes(a, b));
-      bool budget_waited = false;
-      const MemoryBudget::Admit admitted =
-          admit(build_bytes, opts.deadline, &budget_waited);
-      queued = queued || budget_waited;
-      if (admitted != MemoryBudget::Admit::kAdmitted) {
+      SpGemmResult full;
+      const Build build =
+          build_plan(a, b, opts.deadline, &full, "SpeckService");
+      queued = queued || build.waited;
+      if (build.admitted != MemoryBudget::Admit::kAdmitted) {
         lock.unlock();
         if (config_.degraded_mode && !opts.deadline.expired()) {
           return serve_degraded(a, b, out, "admission pressure");
         }
-        fail_admission(admitted, build_bytes, opts.deadline, &resp);
+        fail_admission(build.admitted, build.bytes, opts.deadline, &resp);
         return resp;
       }
-      SpGemmResult full;
-      SpeckPlan built;
-      const CancelToken cancel(opts.deadline);
-      try {
-        built = mask != nullptr
-                    ? speck_.plan_masked(a, b, *mask, &full, &cancel)
-                    : speck_.plan(a, b, &full, &cancel);
-      } catch (...) {
-        // Bad inputs (dimension mismatch, corrupt CSR) throw from the
-        // pipeline; a service must answer, not unwind a client thread.
-        if (config_.memory_budget_bytes != 0) budget_.release(build_bytes);
-        resp.status = status_from_current_exception();
+      if (!build.status.ok()) {
+        resp.status = build.status;
         if (resp.status.code == ErrorCode::kDeadlineExceeded) {
           // Cancellation says nothing about the input; never quarantine it.
           timed_out_.fetch_add(1, std::memory_order_relaxed);
@@ -391,17 +377,8 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
         }
         return resp;
       }
-      if (config_.memory_budget_bytes != 0) budget_.release(build_bytes);
-      if (!full.ok()) {
-        note_plan_failure(key);
-        resp.status = status_from_result(full, "SpeckService");
-        return resp;
-      }
       note_plan_success(key);
-      note_build_diagnostics(built.diagnostics);
-      if (built.complete) {
-        cache_.insert(std::make_shared<const SpeckPlan>(std::move(built)));
-        plans_built_.fetch_add(1, std::memory_order_relaxed);
+      if (build.plan != nullptr) {
         resp.planned = true;
       } else {
         // Unplannable structure (e.g. 32-bit replay overflow): the full run
@@ -473,41 +450,56 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
 std::shared_ptr<const SpeckPlan> SpeckService::plan_for(const Csr& a,
                                                         const Csr& b,
                                                         Status* status) {
-  const Csr* mask = speck_.config().mask.get();
   const PlanFingerprint fp =
-      mask != nullptr ? plan_fingerprint_masked(a, b, *mask, speck_.config())
-                      : plan_fingerprint(a, b, speck_.config());
+      plan_fingerprint(a, b, speck_.config().mask.get(), speck_.config());
   if (std::shared_ptr<const SpeckPlan> plan = cache_.find(fp)) return plan;
   std::lock_guard<std::timed_mutex> lock(plan_mutex_);
   if (std::shared_ptr<const SpeckPlan> plan = cache_.find(fp)) return plan;
-  const std::size_t build_bytes = admission_bytes(estimate_plan_bytes(a, b));
-  if (admit(build_bytes, Deadline::infinite()) !=
-      MemoryBudget::Admit::kAdmitted) {
+  Build build = build_plan(a, b, Deadline::infinite(), nullptr,
+                           "SpeckService::plan_for");
+  if (build.admitted != MemoryBudget::Admit::kAdmitted) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (status != nullptr) {
-      *status = admission_rejection(build_bytes, "SpeckService::plan_for");
-    }
-    return nullptr;
+    build.status = admission_rejection(build.bytes, "SpeckService::plan_for");
   }
+  if (status != nullptr && !build.status.ok()) *status = build.status;
+  return build.plan;
+}
+
+SpeckService::Build SpeckService::build_plan(const Csr& a, const Csr& b,
+                                             const Deadline& deadline,
+                                             SpGemmResult* full,
+                                             const char* where) {
+  Build build;
+  build.bytes = admission_bytes(estimate_plan_bytes(a, b));
+  build.admitted = admit(build.bytes, deadline, &build.waited);
+  if (build.admitted != MemoryBudget::Admit::kAdmitted) return build;
+  const Csr* mask = speck_.config().mask.get();
+  const CancelToken cancel(deadline);
   SpeckPlan built;
   try {
-    built = mask != nullptr ? speck_.plan_masked(a, b, *mask) : speck_.plan(a, b);
+    built = mask != nullptr ? speck_.plan_masked(a, b, *mask, full, &cancel)
+                            : speck_.plan(a, b, full, &cancel);
   } catch (...) {
-    if (config_.memory_budget_bytes != 0) budget_.release(build_bytes);
-    if (status != nullptr) *status = status_from_current_exception();
-    return nullptr;
+    // Bad inputs (dimension mismatch, corrupt CSR) throw from the
+    // pipeline; a service must answer, not unwind a client thread.
+    build.status = status_from_current_exception();
   }
-  if (config_.memory_budget_bytes != 0) budget_.release(build_bytes);
-  if (!built.complete) {
-    if (status != nullptr) {
-      *status = Status{ErrorCode::kBadInput, built.incomplete_reason,
-                       "SpeckService::plan_for"};
-    }
-    return nullptr;
+  if (config_.memory_budget_bytes != 0) budget_.release(build.bytes);
+  if (!build.status.ok()) return build;
+  if (full != nullptr ? !full->ok() : !built.complete) {
+    build.status = full != nullptr
+                       ? status_from_result(*full, where)
+                       : Status{ErrorCode::kBadInput, built.incomplete_reason,
+                                where};
+    return build;
   }
-  plans_built_.fetch_add(1, std::memory_order_relaxed);
   note_build_diagnostics(built.diagnostics);
-  return cache_.insert(std::make_shared<const SpeckPlan>(std::move(built)));
+  if (built.complete) {
+    build.plan =
+        cache_.insert(std::make_shared<const SpeckPlan>(std::move(built)));
+    plans_built_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return build;
 }
 
 void SpeckService::note_build_diagnostics(const SpeckDiagnostics& diagnostics) {

@@ -220,9 +220,9 @@ class SpeckService {
     bool ok() const { return status.ok(); }
   };
 
-  /// Full-service multiply: replay on a cache hit, plan-and-cache on the
-  /// structure's second appearance (first request per pattern runs the full
-  /// pipeline, exactly like Speck::multiply, but across all clients).
+  /// Full-service multiply: replay on a cache hit; on a miss, the first
+  /// request for a pattern builds and caches its plan, and the planning
+  /// run's own result answers that request (nothing is computed twice).
   /// Thread-safe.
   Response multiply(const Csr& a, const Csr& b,
                     const RequestOptions& opts = {});
@@ -288,6 +288,28 @@ class SpeckService {
   bool is_quarantined(std::uint64_t key);
   void note_plan_failure(std::uint64_t key);
   void note_plan_success(std::uint64_t key);
+
+  /// What one build_plan call produced.
+  struct Build {
+    MemoryBudget::Admit admitted = MemoryBudget::Admit::kAdmitted;
+    std::size_t bytes = 0;  ///< the admission charge
+    bool waited = false;    ///< admission had to queue
+    Status status;          ///< why an admitted build failed
+    /// The cached plan; null on failure or when the run could not freeze a
+    /// complete plan.
+    std::shared_ptr<const SpeckPlan> plan;
+  };
+
+  /// The one plan-build sequence, behind serve's miss path and plan_for:
+  /// admission for the build's memory estimate, the capturing pipeline run
+  /// (masked when the wrapped Speck has a mask) cancelled at `deadline`,
+  /// budget release, build diagnostics and the cache insert. The caller
+  /// holds plan_mutex_. A non-null `full` receives the planning run's result
+  /// and a failed run fails the build; with a null `full` the capture steals
+  /// the C pattern and an incomplete plan fails it with kBadInput. `where`
+  /// labels failure statuses.
+  Build build_plan(const Csr& a, const Csr& b, const Deadline& deadline,
+                   SpGemmResult* full, const char* where);
 
   /// Folds a finished plan build's pipeline diagnostics into the monotonic
   /// counters (estimator fallbacks, partition steals / imbalance).

@@ -1,12 +1,8 @@
 #include "speck/speck.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
-#include "common/bit_utils.h"
-#include "common/prefix_sum.h"
-#include "matrix/matrix_stats.h"
 #include "sim/memory_tracker.h"
 #include "speck/estimator.h"
 #include "speck/masked_pass.h"
@@ -64,14 +60,6 @@ void validate_mask_input(const Csr& a, const Csr& b, const Csr& mask,
   }
 }
 
-/// The structural fingerprint of (a, b), masked by `mask` when non-null.
-PlanFingerprint fingerprint(const Csr& a, const Csr& b, const Csr* mask,
-                            const SpeckConfig& cfg, bool with_pattern_hashes = true) {
-  return mask != nullptr
-             ? plan_fingerprint_masked(a, b, *mask, cfg, with_pattern_hashes)
-             : plan_fingerprint(a, b, cfg, with_pattern_hashes);
-}
-
 /// Why `plan` must not be replayed against (a, b) under `cfg`, or empty.
 /// Shared by the fallback (legacy) and reject (concurrent) replay entries.
 std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
@@ -85,8 +73,8 @@ std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
     return "plan is masked but no mask is configured (set SpeckConfig::mask "
            "to the mask the plan was built with)";
   }
-  const PlanFingerprint now =
-      fingerprint(a, b, mask, cfg, /*with_pattern_hashes=*/cfg.validate_inputs);
+  const PlanFingerprint now = plan_fingerprint(
+      a, b, mask, cfg, /*with_pattern_hashes=*/cfg.validate_inputs);
   const bool match = cfg.validate_inputs
                          ? now.matches_full(plan.fingerprint)
                          : now.matches_quick(plan.fingerprint);
@@ -211,13 +199,7 @@ class Speck::PipelineRun {
     ctx_.partition_steal = speck_.config_.partition_steal;
     diag_.partition.partitions = ctx_.partitions;
     ctx_.partition_diag = &diag_.partition;
-    if (ctx_.partitions > 1) {
-      ctx_.team_workspaces = &speck_.team_workspaces_;
-      if (speck_.config_.numa_local_b) {
-        speck_.ensure_team_b(b_, ctx_);
-        ctx_.team_b = &speck_.team_b_;
-      }
-    }
+    if (ctx_.partitions > 1) ctx_.team_workspaces = &speck_.team_workspaces_;
     return true;
   }
 
@@ -278,12 +260,19 @@ class Speck::PipelineRun {
       case RowSizes::kMask: {
         // The mask row *is* the candidate pattern, so the accumulator
         // demand per row is the hard bound min(products, mask_row_nnz) —
-        // never an estimate, so there is no fallback machinery.
-        const std::span<const offset_t> mask_offsets = mask_->row_offsets();
+        // never an estimate, so there is no fallback machinery. Faults
+        // perturb the analysis's product counts, so under faults the bound
+        // recounts the exact ones: faults may only move binning.
         row_sizes_.resize(static_cast<std::size_t>(a_.rows()));
         for (std::size_t r = 0; r < row_sizes_.size(); ++r) {
-          row_sizes_[r] = static_cast<index_t>(std::min(
-              rows_.analysis.products[r], mask_offsets[r + 1] - mask_offsets[r]));
+          const auto row = static_cast<index_t>(r);
+          offset_t products = rows_.analysis.products[r];
+          if (faults_ != nullptr) {
+            products = 0;
+            for (const index_t k : a_.row_cols(row)) products += b_.row_length(k);
+          }
+          row_sizes_[r] = static_cast<index_t>(
+              std::min<offset_t>(products, mask_->row_length(row)));
         }
         break;
       }
@@ -501,22 +490,6 @@ ThreadPool* Speck::host_pool() {
   return pool_.get();
 }
 
-void Speck::ensure_team_b(const Csr& b, const KernelContext& ctx) {
-  const int parts = ctx.partitions;
-  team_b_.resize(static_cast<std::size_t>(parts));
-  // One chunk per partition with identity boundaries: team t's lanes copy
-  // replica t, so (with pinned threads on a NUMA host) the replica's pages
-  // are first-touched on the team's node. Copy-assignment into a retained
-  // replica reuses its vector capacity — no steady-state allocations.
-  std::vector<std::size_t> bounds(static_cast<std::size_t>(parts) + 1);
-  for (int p = 0; p <= parts; ++p) {
-    bounds[static_cast<std::size_t>(p)] = static_cast<std::size_t>(p);
-  }
-  pool_or_global(ctx.pool).partitioned_for(
-      static_cast<std::size_t>(parts), 1, bounds, /*steal=*/false,
-      [&](std::size_t begin, std::size_t, int, int) { team_b_[begin] = b; });
-}
-
 bool Speck::plan_worth_caching(const Csr& a, const Csr& b) const {
   if (!replay_indices_fit(static_cast<std::uint64_t>(a.nnz()),
                           static_cast<std::uint64_t>(b.nnz()), 0)) {
@@ -529,11 +502,10 @@ bool Speck::plan_worth_caching(const Csr& a, const Csr& b) const {
 }
 
 PlanCache& Speck::plan_cache() {
-  const int shards = std::max(config_.plan_cache_shards, 1);
-  if (!transparent_cache_ || transparent_cache_->shards() != shards ||
+  if (!transparent_cache_ ||
       transparent_cache_->limit_bytes() != config_.plan_cache_limit_bytes) {
-    transparent_cache_ =
-        std::make_unique<PlanCache>(shards, config_.plan_cache_limit_bytes);
+    transparent_cache_ = std::make_unique<PlanCache>(
+        /*shards=*/1, config_.plan_cache_limit_bytes);
   }
   return *transparent_cache_;
 }
@@ -557,7 +529,7 @@ SpGemmResult Speck::multiply_cached(const Csr& a, const Csr& b,
   PlanCache& cache = plan_cache();
   // The masked fingerprint keeps masked and unmasked structures from ever
   // colliding.
-  const PlanFingerprint fp = fingerprint(a, b, mask, config_);
+  const PlanFingerprint fp = plan_fingerprint(a, b, mask, config_);
   if (const std::shared_ptr<const SpeckPlan> plan = cache.find(fp)) {
     SpGemmResult result = replay_plan_into(*plan, a, b, host_pool(),
                                            &diagnostics_, &trace_, nullptr);
@@ -593,7 +565,7 @@ SpeckPlan Speck::plan_masked(const Csr& a, const Csr& b, const Csr& mask,
 SpeckPlan Speck::plan_for(const Csr& a, const Csr& b, const Csr* mask,
                           SpGemmResult* full_result, const CancelToken* cancel) {
   SpeckPlan plan;
-  plan.fingerprint = fingerprint(a, b, mask, config_);
+  plan.fingerprint = plan_fingerprint(a, b, mask, config_);
   // When the caller does not want the full multiply result, the capture
   // may steal the C pattern arrays from it instead of copying.
   SpGemmResult result = run_pipeline(a, b, mask, &plan, cancel,

@@ -139,9 +139,10 @@ class Speck final : public SpGemmAlgorithm {
   /// multiplies reuse warm buffers (the zero-allocation hot path).
   WorkspacePool& workspaces() { return workspaces_; }
 
-  /// The transparent sharded LRU plan cache behind multiply() — exposed for
-  /// stats and tests. Lazily (re)built when config().plan_cache_shards or
-  /// plan_cache_limit_bytes change.
+  /// The transparent LRU plan cache behind multiply() — exposed for stats
+  /// and tests. One shard: multiply() is single-caller (concurrent clients
+  /// share plans through SpeckService's own cache). Lazily (re)built when
+  /// config().plan_cache_limit_bytes changes.
   PlanCache& plan_cache();
 
  private:
@@ -195,13 +196,6 @@ class Speck final : public SpGemmAlgorithm {
   /// True when the structure is small enough for the transparent cache.
   bool plan_worth_caching(const Csr& a, const Csr& b) const;
 
-  /// Refreshes the per-team B replicas for numa_local_b runs: one
-  /// byte-identical copy of `b` per partition, copied by the owning team's
-  /// lanes so the pages are first-touched locally. Replicas persist across
-  /// multiplies and copy-assignment reuses their capacity, so repeated
-  /// multiplies stay allocation-free in the steady state.
-  void ensure_team_b(const Csr& b, const KernelContext& ctx);
-
   SpeckConfig config_;
   std::vector<KernelConfig> kernel_configs_;
   SpeckDiagnostics diagnostics_;
@@ -211,13 +205,11 @@ class Speck final : public SpGemmAlgorithm {
   /// Partition-local workspace pools of the two-level executor
   /// (config().partitions > 1); grows monotonically like workspaces_.
   PartitionWorkspaces team_workspaces_;
-  /// Per-team B replicas (config().numa_local_b); see ensure_team_b.
-  std::vector<Csr> team_b_;
 
   /// Transparent plan cache (config().plan_cache): a structure is planned
-  /// once it shows up twice in a row; the plan then lives in a sharded LRU
-  /// cache keyed by full fingerprint, so multiple patterns stay warm at
-  /// once under the byte budget.
+  /// once it shows up twice in a row; the plan then lives in an LRU cache
+  /// keyed by full fingerprint, so multiple patterns stay warm at once
+  /// under the byte budget.
   PlanFingerprint last_structure_;
   bool has_last_structure_ = false;
   std::unique_ptr<PlanCache> transparent_cache_;

@@ -144,11 +144,11 @@ SymbolicOutcome run_symbolic(const KernelContext& ctx, const BinPlan& plan) {
   out.stats.global_pool_bytes = global_pool_bytes(ctx, plan, /*symbolic=*/true);
   detail::execute_block_plan<std::monostate>(
       ctx, plan, "symbolic/", out.stats,
-      [&](const KernelContext& bctx, const sim::Launch& launch,
-          const KernelConfig& config, int /*config_index*/,
-          std::span<const index_t> rows, PassStats& counters,
-          std::monostate& /*payload*/, KernelWorkspace& ws) {
-        return run_symbolic_block(bctx, launch, config, rows, out.row_nnz,
+      [&](const sim::Launch& launch, const KernelConfig& config,
+          int /*config_index*/, std::span<const index_t> rows,
+          PassStats& counters, std::monostate& /*payload*/,
+          KernelWorkspace& ws) {
+        return run_symbolic_block(ctx, launch, config, rows, out.row_nnz,
                                   counters, ws);
       },
       [](const std::monostate&) {});

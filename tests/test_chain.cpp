@@ -1,6 +1,8 @@
 // Tests for cost-driven chain multiplication.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/prng.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
@@ -124,7 +126,7 @@ Csr chain_reweighted(const Csr& a, std::uint64_t seed) {
 
 TEST(ChainPlanReuse, SecondPassReplaysCachedPlans) {
   Speck speck = make_speck();
-  ChainPlanCache cache;
+  PlanCache cache(1, SIZE_MAX);
   const Csr a = gen::random_uniform(60, 60, 4, 1407);
   const Csr b = gen::banded(60, 5, 2, 1409);
   const Csr c = gen::random_uniform(60, 60, 3, 1411);
@@ -132,8 +134,8 @@ TEST(ChainPlanReuse, SecondPassReplaysCachedPlans) {
   // First pass populates the cache with one plan per contraction.
   const ChainResult first = multiply_chain({a, b, c}, speck, cache);
   ASSERT_TRUE(first.ok()) << first.failure_reason;
-  EXPECT_EQ(cache.size(), first.steps.size());
-  EXPECT_GT(cache.byte_size(), 0u);
+  EXPECT_EQ(cache.entries(), first.steps.size());
+  EXPECT_GT(cache.bytes(), 0u);
   for (const ChainStep& step : first.steps) {
     EXPECT_FALSE(step.plan_reused);
   }
@@ -145,7 +147,7 @@ TEST(ChainPlanReuse, SecondPassReplaysCachedPlans) {
   const Csr c2 = chain_reweighted(c, 1417);
   const ChainResult second = multiply_chain({a2, b2, c2}, speck, cache);
   ASSERT_TRUE(second.ok()) << second.failure_reason;
-  EXPECT_EQ(cache.size(), first.steps.size());  // no new plans needed
+  EXPECT_EQ(cache.entries(), first.steps.size());  // no new plans needed
   ASSERT_EQ(second.steps.size(), first.steps.size());
   for (const ChainStep& step : second.steps) {
     EXPECT_TRUE(step.plan_reused);
@@ -162,7 +164,7 @@ TEST(ChainPlanReuse, SecondPassReplaysCachedPlans) {
 
 TEST(ChainPlanReuse, PlanAwareMatchesPlain) {
   Speck speck = make_speck();
-  ChainPlanCache cache;
+  PlanCache cache(1, SIZE_MAX);
   const Csr a = gen::power_law(50, 50, 5, 1.8, 25, 1419);
   const ChainResult planned = multiply_chain({a, a, a}, speck, cache);
   ASSERT_TRUE(planned.ok()) << planned.failure_reason;

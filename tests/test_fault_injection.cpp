@@ -7,6 +7,7 @@
 // under deliberately hostile estimates.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "gen/generators.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
+#include "ref/masked.h"
 #include "speck/speck.h"
 
 namespace speck {
@@ -133,6 +135,45 @@ TEST(FaultMatrix, ResultsIdenticalAcrossThreadCounts) {
     // The simulated schedule (and thus the modeled time) is part of the
     // determinism contract too.
     EXPECT_EQ(r1.result.seconds, r8.result.seconds) << entry.name;
+  }
+}
+
+TEST(FaultMatrix, MaskedOutputBitIdenticalToMaskedOracle) {
+  // Shrinking or jittering the analysis estimates may only move binning:
+  // the masked accumulator demand min(products, mask row) is a hard bound
+  // and must stay on the exact product counts.
+  std::vector<NamedFault> faults;
+  {
+    FaultSpec s;
+    s.estimate_scale = 0.5;
+    faults.push_back({"estimate-x0.5", s});
+  }
+  {
+    FaultSpec s;
+    s.estimate_jitter = 0.9;
+    s.seed = 17;
+    faults.push_back({"jitter-0.9", s});
+  }
+  for (const auto& entry : gen::test_corpus()) {
+    // The product's own pattern (demand == products on every row) and a
+    // sparse random mask (demand == mask row on most rows).
+    const Csr full = gustavson_spgemm(entry.a, entry.b);
+    const Csr sparse =
+        gen::random_uniform(entry.a.rows(), entry.b.cols(), 8, 4201);
+    for (const Csr* mask : {&full, &sparse}) {
+      const Csr oracle = masked_spgemm(entry.a, entry.b, *mask);
+      for (const auto& fault : faults) {
+        Speck speck = make_speck(fault.spec, 0);
+        speck.config().mask = std::make_shared<const Csr>(*mask);
+        const auto outcome = speck.try_multiply(entry.a, entry.b);
+        ASSERT_TRUE(outcome.ok()) << entry.name << " under " << fault.name
+                                  << ": " << outcome.status.to_string();
+        const auto diff = compare(outcome.result.c, oracle, 0.0);
+        EXPECT_FALSE(diff.has_value())
+            << entry.name << " under " << fault.name << ": "
+            << (diff ? diff->description : "");
+      }
+    }
   }
 }
 

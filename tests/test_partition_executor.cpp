@@ -1,11 +1,10 @@
 // The two-level partitioned executor's headline guarantee: partition count,
-// partition-local teams, cross-partition work stealing and NUMA-local B
-// copies change only host wall-clock, never results. CSR bytes, simulated
-// seconds and every PassStats counter must be bit-identical at any
-// (partitions, threads, steal) combination — including the power-law skew
-// that forces finished teams to steal — plus steady-state zero-allocation
-// with partition-local workspace pools and sane schedule-dependent
-// telemetry.
+// partition-local teams and cross-partition work stealing change only host
+// wall-clock, never results. CSR bytes, simulated seconds and every
+// PassStats counter must be bit-identical at any (partitions, threads,
+// steal) combination — including the power-law skew that forces finished
+// teams to steal — plus steady-state zero-allocation with partition-local
+// workspace pools and sane schedule-dependent telemetry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,23 +149,6 @@ TEST(PartitionExecutor, PowerLawSkewBitIdenticalWithStealing) {
   }
 }
 
-TEST(PartitionExecutor, NumaLocalBMatchesSharedB) {
-  const Csr a = skewed_power_law();
-  SpeckConfig cfg = base_config();
-  cfg.host_threads = 1;
-  Speck baseline_speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-  const PipelineRun baseline = run_once(baseline_speck, a, a, "power-law");
-  SpeckConfig numa_cfg = base_config();
-  numa_cfg.host_threads = 8;
-  numa_cfg.partitions = 4;
-  numa_cfg.numa_local_b = true;
-  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, numa_cfg);
-  expect_identical(baseline, run_once(speck, a, a, "power-law"),
-                   "numa_local_b cold");
-  expect_identical(baseline, run_once(speck, a, a, "power-law"),
-                   "numa_local_b warm");
-}
-
 TEST(PartitionExecutor, EstimatedPlanningBitIdenticalAcrossPartitions) {
   const Csr a = skewed_power_law();
   SpeckConfig cfg = base_config();
@@ -279,12 +261,10 @@ TEST(PartitionExecutor, ConfigValidationAndDescribe) {
   SpeckConfig cfg;
   cfg.partitions = 4;
   cfg.partition_steal = false;
-  cfg.numa_local_b = true;
   Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
   const std::string text = describe(speck.config());
   EXPECT_NE(text.find("partitions"), std::string::npos);
   EXPECT_NE(text.find("partition_steal"), std::string::npos);
-  EXPECT_NE(text.find("numa_local_b"), std::string::npos);
   SpeckConfig bad;
   bad.partitions = 300;
   EXPECT_THROW(

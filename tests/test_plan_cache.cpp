@@ -5,6 +5,7 @@
 // Speck::multiply.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -256,6 +257,75 @@ TEST(TransparentPlanCache, MultiplePatternsStayWarm) {
   EXPECT_EQ(sp.plan_cache().entries(), 2u);
   const auto diff = compare(back.c, gustavson_spgemm(a, a), 0.0);
   EXPECT_FALSE(diff.has_value()) << diff->description;
+}
+
+/// Byte size of the plan the transparent cache builds for (x, x).
+std::size_t cached_plan_bytes(const Csr& x) {
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  for (int i = 0; i < 2; ++i) EXPECT_TRUE(sp.multiply(x, x).ok());
+  const std::shared_ptr<const SpeckPlan> plan =
+      sp.plan_cache().find(plan_fingerprint(x, x, sp.config()));
+  EXPECT_NE(plan, nullptr);
+  return plan != nullptr ? plan->byte_size() : 0;
+}
+
+TEST(TransparentPlanCache, ByteBudgetEvictsLeastRecentlyUsed) {
+  const Csr a = gen::banded(300, 6, 4, 901);
+  const Csr b = gen::banded(300, 6, 4, 905);
+  const Csr c = gen::banded(300, 6, 4, 907);
+  const std::size_t bytes_a = cached_plan_bytes(a);
+  const std::size_t bytes_b = cached_plan_bytes(b);
+  const std::size_t bytes_c = cached_plan_bytes(c);
+  // Room for any two of the three plans, never for all three.
+  const std::size_t smallest = std::min({bytes_a, bytes_b, bytes_c});
+  SpeckConfig cfg;
+  cfg.plan_cache_limit_bytes = bytes_a + bytes_b + bytes_c - smallest / 2;
+  for (const Csr* x : {&a, &b, &c}) {
+    ASSERT_LE(estimate_plan_bytes(*x, *x), cfg.plan_cache_limit_bytes);
+  }
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(sp.multiply(a, a).ok());
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(sp.multiply(b, b).ok());
+  ASSERT_EQ(sp.plan_cache().entries(), 2u);
+  // A hit on A makes B the least recently used plan.
+  ASSERT_TRUE(sp.multiply(a, a).ok());
+  EXPECT_TRUE(sp.last_diagnostics().plan_cache_hit);
+
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(sp.multiply(c, c).ok());
+  const PlanCacheStats stats = sp.plan_cache().stats();
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.rejected_inserts, 0u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_LE(stats.bytes, cfg.plan_cache_limit_bytes);
+  PlanCache& cache = sp.plan_cache();
+  EXPECT_NE(cache.find(plan_fingerprint(a, a, cfg)), nullptr);
+  EXPECT_EQ(cache.find(plan_fingerprint(b, b, cfg)), nullptr)
+      << "the least recently used plan must be the one evicted";
+  EXPECT_NE(cache.find(plan_fingerprint(c, c, cfg)), nullptr);
+}
+
+TEST(TransparentPlanCache, StructureOverBudgetIsNeverPlanned) {
+  const Csr a = gen::power_law(300, 300, 5, 1.8, 60, 903);
+  SpeckConfig cfg;
+  cfg.plan_cache_limit_bytes = estimate_plan_bytes(a, a) - 1;
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+  const Csr expected = gustavson_spgemm(a, a);
+  for (int i = 0; i < 4; ++i) {
+    const SpGemmResult r = sp.multiply(a, a);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(sp.last_diagnostics().plan_cache_hit) << i;
+    EXPECT_FALSE(sp.last_diagnostics().plan_used) << i;
+    const auto diff = compare(r.c, expected, 0.0);
+    EXPECT_FALSE(diff.has_value()) << diff->description;
+  }
+  // plan_worth_caching refuses before any capture: nothing was offered to
+  // the cache, so nothing was rejected either.
+  const PlanCacheStats stats = sp.plan_cache().stats();
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.rejected_inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 }  // namespace

@@ -315,5 +315,52 @@ TEST(PlanReuse, PlanReportsByteSizeAndFingerprint) {
   EXPECT_EQ(static_cast<std::size_t>(plan.c_nnz()), plan.c_col_indices.size());
 }
 
+TEST(PlanReuse, InspectPlusReplayCoversFullMultiply) {
+  Speck planner(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::random_uniform(3000, 3000, 10, 1811);
+  const SpeckPlan plan = planner.plan(a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  const SpGemmResult repeated = planner.multiply_with_plan(plan, a, a);
+  ASSERT_TRUE(repeated.ok());
+
+  Speck full(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const SpGemmResult whole = full.multiply(a, a);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_LT(repeated.seconds, whole.seconds)
+      << "replay must skip analysis/symbolic/load-balancing time";
+  EXPECT_GT(plan.inspect_seconds, 0.0);
+  // The amortized split covers the whole pipeline.
+  EXPECT_NEAR(plan.inspect_seconds + repeated.seconds, whole.seconds,
+              whole.seconds * 0.25);
+}
+
+TEST(PlanReuse, StructuralMismatchFallsBackOnNnzOrDims) {
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::random_uniform(100, 100, 4, 1813);
+  const SpeckPlan plan = sp.plan(a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  const Csr other = gen::random_uniform(100, 100, 5, 1815);  // different nnz
+  const Csr smaller = gen::random_uniform(90, 90, 4, 1817);
+  for (const Csr* x : {&other, &smaller}) {
+    const SpGemmResult result = sp.multiply_with_plan(plan, *x, *x);
+    ASSERT_TRUE(result.ok()) << result.failure_reason;
+    EXPECT_TRUE(sp.last_diagnostics().plan_fallback);
+    const auto diff = compare(result.c, gustavson_spgemm(*x, *x), 0.0);
+    EXPECT_FALSE(diff.has_value()) << diff->description;
+  }
+}
+
+TEST(PlanReuse, PlanRecordsRectangularFingerprint) {
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::rectangular_lp(60, 500, 6, 1819);
+  const Csr b = transpose(a);
+  const SpeckPlan plan = sp.plan(a, b);
+  EXPECT_EQ(plan.fingerprint.a_rows, 60);
+  EXPECT_EQ(plan.fingerprint.a_cols, 500);
+  EXPECT_EQ(plan.fingerprint.b_cols, 60);
+  EXPECT_EQ(plan.fingerprint.a_nnz, a.nnz());
+  EXPECT_EQ(static_cast<index_t>(plan.row_nnz.size()), a.rows());
+}
+
 }  // namespace
 }  // namespace speck
