@@ -92,12 +92,18 @@ std::string describe(const SpeckConfig& config) {
   out += "thresholds.symbolic_large  = " + pair(config.thresholds.symbolic_large) + "\n";
   out += "thresholds.numeric         = " + pair(config.thresholds.numeric) + "\n";
   out += "thresholds.numeric_large   = " + pair(config.thresholds.numeric_large) + "\n";
+  out += "thresholds.symbolic_large_kernel_count = " +
+         std::to_string(config.thresholds.symbolic_large_kernel_count) + "\n";
+  out += "thresholds.numeric_large_kernel_count  = " +
+         std::to_string(config.thresholds.numeric_large_kernel_count) + "\n";
   out += "features.dense_accumulation= " +
          std::string(config.features.dense_accumulation ? "true" : "false") + "\n";
   out += "features.direct_rows       = " +
          std::string(config.features.direct_rows ? "true" : "false") + "\n";
   out += "features.dynamic_group_size= " +
          std::string(config.features.dynamic_group_size ? "true" : "false") + "\n";
+  out += "features.fixed_group_size  = " +
+         std::to_string(config.features.fixed_group_size) + "\n";
   out += "features.block_merge       = " +
          std::string(config.features.block_merge ? "true" : "false") + "\n";
   out += "features.global_lb         = symbolic:" +
@@ -145,6 +151,7 @@ std::string describe(const SpeckConfig& config) {
          std::to_string(config.estimator_samples) + "\n";
   out += "estimator_safety_margin    = " +
          std::to_string(config.estimator_safety_margin) + "\n";
+  out += "estimator_seed             = " + std::to_string(config.estimator_seed) + "\n";
   out += "validate_inputs            = " +
          std::string(config.validate_inputs ? "true" : "false") + "\n";
   out += "mask                       = " +

@@ -3,25 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
-#include <variant>
 
 #include "common/bit_utils.h"
-#include "common/prefix_sum.h"
 #include "common/prng.h"
 #include "speck/hash_map.h"
 #include "speck/kernels_detail.h"
-#include "speck/local_lb.h"
 
 namespace speck {
 namespace {
-
-/// Rows per parallel chunk. Fixed (never derived from the thread count) so
-/// chunk boundaries — and with them every per-row result — are identical at
-/// any parallelism level.
-constexpr std::size_t kRowChunk = 256;
 
 /// Expected number of distinct columns among `products` draws over a column
 /// universe of size `n` (the balls-into-bins compression correction:
@@ -29,43 +20,6 @@ constexpr std::size_t kRowChunk = 256;
 double distinct_columns(double products, double n, double log_keep) {
   if (products <= 0.0 || n <= 0.0) return 0.0;
   return -n * std::expm1(products * log_keep);
-}
-
-/// Accumulator method per row, re-deriving run_numeric's block-level
-/// selection from the *estimates* exactly like build_replay_program does
-/// from the plan: all-direct blocks stream, single-row blocks may go dense,
-/// everything else hashes. The estimated pass, the fallback pass and the
-/// replay program must all agree on this — the method decides the row's
-/// floating-point assign/accumulate semantics.
-std::vector<RowMethod> methods_for_plan(const KernelContext& ctx,
-                                        const BinPlan& plan,
-                                        std::span<const index_t> row_nnz_estimate) {
-  const auto rows = static_cast<std::size_t>(ctx.a->rows());
-  std::vector<RowMethod> methods(rows, RowMethod::kHash);
-  for (const BinPlan::Block& block : plan.blocks) {
-    const std::span<const index_t> block_rows(
-        plan.row_order.data() + block.begin, block.end - block.begin);
-    if (block_rows.empty()) continue;
-    bool all_direct = ctx.cfg->features.direct_rows;
-    for (const index_t r : block_rows) {
-      all_direct = all_direct && ctx.a->row_length(r) == 1;
-    }
-    if (all_direct) {
-      for (const index_t r : block_rows) {
-        methods[static_cast<std::size_t>(r)] = RowMethod::kDirect;
-      }
-      continue;
-    }
-    if (block_rows.size() == 1) {
-      const index_t r = block_rows.front();
-      RowMethod method = choose_numeric_method(
-          ctx, r, row_nnz_estimate[static_cast<std::size_t>(r)],
-          /*merged_block=*/false, block.config);
-      if (method != RowMethod::kDense) method = RowMethod::kHash;
-      methods[static_cast<std::size_t>(r)] = method;
-    }
-  }
-  return methods;
 }
 
 /// Merges one row of C into `dst_cols`/`dst_vals` (capacity `cap` slots) via
@@ -103,12 +57,9 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
   }
 
   const auto b_cols_total = static_cast<std::size_t>(ctx.b->cols());
-  std::vector<std::uint32_t>& colmap = ws.estimate_colmap();
+  std::vector<std::uint32_t>& colmap = ws.colmap(b_cols_total);
   std::vector<std::uint32_t>& epoch = ws.estimate_epoch();
-  if (epoch.size() < b_cols_total) {
-    epoch.resize(b_cols_total, 0);
-    colmap.resize(b_cols_total);
-  }
+  if (epoch.size() < b_cols_total) epoch.resize(b_cols_total, 0);
   std::uint32_t& counter = ws.estimate_epoch_counter();
   if (counter == std::numeric_limits<std::uint32_t>::max()) {
     std::fill(epoch.begin(), epoch.end(), 0);
@@ -192,6 +143,13 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
   return actual;
 }
 
+/// Cost observables one block's merged rows accumulate.
+struct MergeTally {
+  std::size_t touches = 0;  ///< intermediate products processed
+  std::size_t written = 0;  ///< elements of rows that fit their slot
+  std::size_t sorted = 0;   ///< of those, elements sorted in place
+};
+
 }  // namespace
 
 RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
@@ -217,7 +175,8 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
   const auto b_col_idx = b.col_indices();
 
   pool_or_global(pool).parallel_for(
-      rows, kRowChunk, [&](std::size_t begin, std::size_t end, int /*worker*/) {
+      rows, detail::kRowChunk,
+      [&](std::size_t begin, std::size_t end, int /*worker*/) {
         for (std::size_t ri = begin; ri < end; ++ri) {
           const auto r = static_cast<index_t>(ri);
           const auto a_cols = a.row_cols(r);
@@ -343,175 +302,79 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
   return out;
 }
 
-EstimatedNumericOutcome run_numeric_estimated(
-    const KernelContext& ctx, const BinPlan& plan,
-    std::span<const index_t> row_nnz_estimate) {
-  EstimatedNumericOutcome out;
-  const auto rows = static_cast<std::size_t>(ctx.a->rows());
-  out.row_nnz.assign(rows, 0);
-
-  // Staging: every row gets an estimate-sized slot; the merge records the
-  // actual count even when it overruns the slot (stores just stop). The
-  // scratch persists across plan() calls and only ever grows: every staging
-  // element is written before it is read, so re-zeroing megabytes of slots
-  // on each call would hand back a chunk of the symbolic-pass savings.
-  thread_local std::vector<offset_t> est_offsets;
-  if (est_offsets.size() < rows + 1) est_offsets.resize(rows + 1);
-  est_offsets[0] = 0;
-  simd::widen_i32_to_i64(row_nnz_estimate.data(), est_offsets.data() + 1, rows,
-                         ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(est_offsets.data() + 1, rows),
-                       ctx.simd);
-  const auto staging_total = static_cast<std::size_t>(est_offsets[rows]);
-  thread_local std::vector<index_t> staging_cols;
-  thread_local std::vector<value_t> staging_vals;
-  if (staging_cols.size() < staging_total) staging_cols.resize(staging_total);
-  if (staging_vals.size() < staging_total) staging_vals.resize(staging_total);
-  // Snapshot raw pointers for the worker lambdas: naming a thread_local
-  // inside them would resolve through each *worker's* TLS (empty vectors),
-  // not the coordinating thread's scratch.
-  const offset_t* const est_offsets_ptr = est_offsets.data();
-  index_t* const staging_cols_ptr = staging_cols.data();
-  value_t* const staging_vals_ptr = staging_vals.data();
-
-  const std::vector<RowMethod> methods =
-      methods_for_plan(ctx, plan, row_nnz_estimate);
-
-  detail::execute_block_plan<std::monostate>(
-      ctx, plan, "numeric_est/", out.stats,
-      [&](const sim::Launch& launch, const KernelConfig& config,
-          int /*config_index*/, std::span<const index_t> block_rows,
-          PassStats& counters, std::monostate& /*payload*/,
-          KernelWorkspace& ws) {
-        auto cost = launch.make_block(config.threads, config.scratchpad_bytes);
-        const BlockRowStats row_stats = detail::block_stats(ctx, block_rows);
-        const LocalLbDecision lb =
-            choose_group_size(config.threads, row_stats, ctx.cfg->features);
-
-        std::size_t touches = 0;
-        std::size_t written = 0;
-        std::size_t sorted = 0;
-        for (const index_t r : block_rows) {
-          const auto ri = static_cast<std::size_t>(r);
-          const RowMethod method = methods[ri];
-          const index_t cap = row_nnz_estimate[ri];
-          const auto base = static_cast<std::size_t>(est_offsets_ptr[ri]);
-          const index_t actual =
-              merge_row(ctx, r, method, cap, staging_cols_ptr + base,
-                        staging_vals_ptr + base, ws, touches);
-          out.row_nnz[ri] = actual;
-          if (actual > cap) {
-            ++counters.estimate_underflow_rows;
-          } else {
-            written += static_cast<std::size_t>(actual);
-            if (method == RowMethod::kHash) {
-              // Dense and direct rows emit in column order without sorting.
-              sorted += static_cast<std::size_t>(actual);
-            }
-          }
-          switch (method) {
-            case RowMethod::kDirect: ++counters.direct_rows; break;
-            case RowMethod::kDense: ++counters.dense_rows; break;
-            case RowMethod::kHash: ++counters.hash_rows; break;
+NumericOutcome run_numeric_estimated(const KernelContext& ctx, const BinPlan& plan,
+                                     std::span<const index_t> row_nnz_estimate) {
+  return detail::run_staged_pass<MergeTally>(
+      ctx, plan, row_nnz_estimate, "numeric_est/",
+      [&](const KernelConfig& /*config*/, index_t r, RowMethod method, index_t cap,
+          index_t* cols, value_t* vals, KernelWorkspace& ws,
+          sim::BlockCost& /*cost*/, PassStats& /*counters*/, MergeTally& tally) {
+        const index_t actual = merge_row(ctx, r, method, cap, cols, vals, ws,
+                                         tally.touches);
+        if (actual <= cap) {
+          tally.written += static_cast<std::size_t>(actual);
+          // Dense and direct rows emit in column order without sorting.
+          if (method == RowMethod::kHash) {
+            tally.sorted += static_cast<std::size_t>(actual);
           }
         }
-
-        detail::charge_row_sweep(cost, ctx, block_rows, lb.group_size,
-                                 /*numeric=*/true, ws);
-        cost.smem_atomic(static_cast<double>(touches));  // scatter-map merge
-        cost.issued(static_cast<double>(sorted), 4.0);   // in-slot pair sort
-        cost.global_coalesced(written);
-        cost.global_coalesced64(written);
-        return cost;
+        return actual;
       },
-      [](const std::monostate&) {});
-
-  // Compaction: exact offsets from the actual counts, then the fitting rows
-  // move from their over-allocated staging slots to final positions.
-  std::vector<offset_t> offsets(rows + 1, 0);
-  simd::widen_i32_to_i64(out.row_nnz.data(), offsets.data() + 1, rows,
-                         ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, rows), ctx.simd);
-  std::vector<index_t> out_cols(static_cast<std::size_t>(offsets.back()));
-  std::vector<value_t> out_vals(static_cast<std::size_t>(offsets.back()));
-
-  ThreadPool& pool = pool_or_global(ctx.pool);
-  WorkspacePool local_workspaces;
-  WorkspacePool& workspaces =
-      ctx.workspaces != nullptr ? *ctx.workspaces : local_workspaces;
-  workspaces.ensure(pool.thread_count());
-
-  pool.parallel_for(rows, kRowChunk,
-                    [&](std::size_t begin, std::size_t end, int /*worker*/) {
-                      for (std::size_t r = begin; r < end; ++r) {
-                        const auto n = static_cast<std::size_t>(out.row_nnz[r]);
-                        if (n == 0 ||
-                            out.row_nnz[r] > row_nnz_estimate[r]) {
-                          continue;  // empty, or recomputed by the fallback
-                        }
-                        const auto src =
-                            static_cast<std::size_t>(est_offsets_ptr[r]);
-                        const auto dst = static_cast<std::size_t>(offsets[r]);
-                        std::memcpy(out_cols.data() + dst,
-                                    staging_cols_ptr + src,
-                                    n * sizeof(index_t));
-                        std::memcpy(out_vals.data() + dst,
-                                    staging_vals_ptr + src,
-                                    n * sizeof(value_t));
-                      }
-                    });
-
-  // Fallback: rows whose estimate underflowed re-run the exact merge into
-  // their exactly-sized final slots — this is how an estimated plan
-  // self-corrects without ever producing an inexact C.
-  std::vector<index_t> fallback_rows;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (out.row_nnz[r] > row_nnz_estimate[r]) {
-      fallback_rows.push_back(static_cast<index_t>(r));
-    }
-  }
-  if (!fallback_rows.empty()) {
-    sim::Launch fallback_launch("numeric_est_fallback", *ctx.device, *ctx.model);
-    const KernelConfig& largest = ctx.configs->back();
-    std::vector<std::optional<sim::BlockCost>> costs(fallback_rows.size());
-    constexpr std::size_t kFallbackChunk = 4;
-    pool.parallel_for(
-        fallback_rows.size(), kFallbackChunk,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          KernelWorkspace& ws = workspaces.at(worker);
-          for (std::size_t i = begin; i < end; ++i) {
-            const index_t r = fallback_rows[i];
-            const auto ri = static_cast<std::size_t>(r);
-            const auto dst = static_cast<std::size_t>(offsets[ri]);
-            std::size_t touches = 0;
-            const index_t actual = merge_row(
-                ctx, r, methods[ri], out.row_nnz[ri], out_cols.data() + dst,
-                out_vals.data() + dst, ws, touches);
-            SPECK_ASSERT(actual == out.row_nnz[ri],
-                         "estimated fallback recount disagrees with the "
-                         "first pass");
-            auto cost =
-                fallback_launch.make_block(largest.threads,
-                                           largest.scratchpad_bytes);
-            cost.global_scattered(touches);
-            cost.smem_atomic(static_cast<double>(touches));
-            cost.issued(static_cast<double>(actual), 4.0);
-            cost.global_coalesced(static_cast<std::size_t>(actual));
-            cost.global_coalesced64(static_cast<std::size_t>(actual));
-            costs[i] = cost;
-          }
-        });
-    for (const std::optional<sim::BlockCost>& cost : costs) {
-      fallback_launch.add(*cost);
-    }
-    sim::LaunchResult finished = fallback_launch.finish();
-    out.stats.seconds += finished.seconds;
-    if (ctx.trace != nullptr) ctx.trace->record(std::move(finished));
-  }
-
-  out.c = Csr(ctx.a->rows(), ctx.b->cols(), std::move(offsets),
-              std::move(out_cols), std::move(out_vals));
-  return out;
+      [](sim::BlockCost& cost, const MergeTally& tally) {
+        cost.smem_atomic(static_cast<double>(tally.touches));  // scatter-map merge
+        cost.issued(static_cast<double>(tally.sorted), 4.0);   // in-slot pair sort
+        cost.global_coalesced(tally.written);
+        cost.global_coalesced64(tally.written);
+      },
+      // Overflow rule: rows whose estimate underflowed re-run the exact merge
+      // into their exactly-sized final slots — this is how an estimated plan
+      // self-corrects without ever producing an inexact C.
+      [&](std::span<const index_t> fallback_rows, std::span<const RowMethod> methods,
+          NumericOutcome& out) {
+        const std::span<const offset_t> offsets = out.c.row_offsets();
+        index_t* const out_cols = out.c.col_indices_mutable().data();
+        value_t* const out_vals = out.c.values_mutable().data();
+        ThreadPool& pool = pool_or_global(ctx.pool);
+        WorkspacePool local_workspaces;
+        WorkspacePool& workspaces =
+            ctx.workspaces != nullptr ? *ctx.workspaces : local_workspaces;
+        workspaces.ensure(pool.thread_count());
+        sim::Launch fallback_launch("numeric_est_fallback", *ctx.device, *ctx.model);
+        const KernelConfig& largest = ctx.configs->back();
+        std::vector<std::optional<sim::BlockCost>> costs(fallback_rows.size());
+        constexpr std::size_t kFallbackChunk = 4;
+        pool.parallel_for(
+            fallback_rows.size(), kFallbackChunk,
+            [&](std::size_t begin, std::size_t end, int worker) {
+              KernelWorkspace& ws = workspaces.at(worker);
+              for (std::size_t i = begin; i < end; ++i) {
+                const index_t r = fallback_rows[i];
+                const auto ri = static_cast<std::size_t>(r);
+                const auto dst = static_cast<std::size_t>(offsets[ri]);
+                std::size_t touches = 0;
+                const index_t actual =
+                    merge_row(ctx, r, methods[ri], out.row_nnz[ri], out_cols + dst,
+                              out_vals + dst, ws, touches);
+                SPECK_ASSERT(actual == out.row_nnz[ri],
+                             "estimated fallback recount disagrees with the "
+                             "first pass");
+                auto cost = fallback_launch.make_block(largest.threads,
+                                                       largest.scratchpad_bytes);
+                cost.global_scattered(touches);
+                cost.smem_atomic(static_cast<double>(touches));
+                cost.issued(static_cast<double>(actual), 4.0);
+                cost.global_coalesced(static_cast<std::size_t>(actual));
+                cost.global_coalesced64(static_cast<std::size_t>(actual));
+                costs[i] = cost;
+              }
+            });
+        for (const std::optional<sim::BlockCost>& cost : costs) {
+          fallback_launch.add(*cost);
+        }
+        sim::LaunchResult finished = fallback_launch.finish();
+        out.stats.seconds += finished.seconds;
+        if (ctx.trace != nullptr) ctx.trace->record(std::move(finished));
+      });
 }
 
 }  // namespace speck

@@ -55,20 +55,6 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
                           sim::Launch& launch, ThreadPool* pool = nullptr,
                           const FaultInjector* faults = nullptr);
 
-/// Result of the estimated numeric pass: the exact, sorted C plus the
-/// *actual* per-row NNZ discovered along the way.
-struct EstimatedNumericOutcome {
-  Csr c;
-  /// Exact NNZ of every row of C (what the symbolic pass would have
-  /// reported; stored in SpeckPlan::row_nnz).
-  std::vector<index_t> row_nnz;
-  /// stats.estimate_underflow_rows counts the rows re-run through the
-  /// exact fallback pass.
-  PassStats stats;
-  double sorting_seconds = 0.0;
-  offset_t radix_sorted_elements = 0;
-};
-
 /// Runs the numeric pass directly off the NNZ estimates, skipping the
 /// symbolic pass entirely. Per row: merges the intermediate products
 /// through a column-scatter map into an estimate-sized staging slot,
@@ -80,9 +66,11 @@ struct EstimatedNumericOutcome {
 /// accumulator semantics per row mirror run_numeric's method selection
 /// (evaluated on the *estimates*, exactly as build_replay_program will
 /// re-derive it), so C is bit-identical to exact-mode planning at any
-/// thread count.
-EstimatedNumericOutcome run_numeric_estimated(
-    const KernelContext& ctx, const BinPlan& plan,
-    std::span<const index_t> row_nnz_estimate);
+/// thread count. The outcome's row_nnz holds the exact NNZ of every row of
+/// C (what the symbolic pass would have reported; stored in
+/// SpeckPlan::row_nnz), and stats.estimate_underflow_rows counts the
+/// fallback re-runs.
+NumericOutcome run_numeric_estimated(const KernelContext& ctx, const BinPlan& plan,
+                                     std::span<const index_t> row_nnz_estimate);
 
 }  // namespace speck

@@ -122,6 +122,16 @@ struct KernelContext {
   std::size_t effective_capacity(std::size_t capacity) const {
     return faults != nullptr ? faults->scratchpad_capacity(capacity) : capacity;
   }
+
+  /// Exact intermediate-product count of row `row` of A·B. Without faults
+  /// that is the analysis count; a fault injector perturbs those, so then
+  /// the row is recounted from the CSR structure.
+  offset_t exact_products(index_t row) const {
+    if (faults == nullptr) return analysis->products[static_cast<std::size_t>(row)];
+    offset_t products = 0;
+    for (const index_t k : a->row_cols(row)) products += b->row_length(k);
+    return products;
+  }
 };
 
 /// Accumulation method chosen for a row (paper: direct referencing, dense
@@ -163,8 +173,12 @@ struct SymbolicOutcome {
 /// Runs the symbolic pass over the given block plan.
 SymbolicOutcome run_symbolic(const KernelContext& ctx, const BinPlan& plan);
 
+/// Result of every numeric pass: exact, estimated and masked.
 struct NumericOutcome {
   Csr c;
+  /// Exact NNZ per row of C, discovered by the estimated and masked passes
+  /// (empty after run_numeric, whose caller passed the symbolic counts in).
+  std::vector<index_t> row_nnz;
   PassStats stats;
   /// Simulated seconds of the separate radix-sort pass for rows the large
   /// hash kernels emitted unsorted (0 when no such rows exist).
@@ -224,26 +238,19 @@ struct NumericReplayProgram {
 /// Replays the program against fresh values of (a, b), writing straight into
 /// `out` (sized c_nnz, zero-initialized by the caller). Pattern-independent
 /// work only: no analysis, no hashing, no sorting. Parallelized over `pool`
-/// with fixed chunking, so results are bit-identical at any thread count.
-/// Returns the heap allocations observed inside the replay loop (the
-/// zero-allocation hot-path metric; always 0 — the loop owns no containers).
-/// `simd` enables software prefetch of upcoming gather targets on the vector
-/// backends; the arithmetic and its order are backend-independent.
+/// with fixed chunking, so results are bit-identical at any thread count. A
+/// 1-thread pool runs every row inline on the calling thread with no heap
+/// traffic of its own — the service replay path, where many client threads
+/// each replay their own request and intra-request parallelism would only
+/// add contention. Returns the heap allocations observed inside the replay
+/// loop (the zero-allocation hot-path metric; always 0 — the loop owns no
+/// containers). `simd` enables software prefetch of upcoming gather targets
+/// on the vector backends; the arithmetic and its order are
+/// backend-independent.
 std::size_t replay_numeric_values(const Csr& a, const Csr& b,
                                   const NumericReplayProgram& program,
                                   ThreadPool* pool, std::span<value_t> out,
                                   SimdBackend simd = SimdBackend::kScalar);
-
-/// Single-threaded replay_numeric_values that runs entirely on the calling
-/// thread with zero heap traffic of its own (the parallel variant owns a
-/// per-call chunk-counter vector). This is the service replay path: many
-/// client threads each replay their own request concurrently, so intra-
-/// request parallelism would only add contention. Bit-identical to the
-/// parallel variant.
-std::size_t replay_numeric_values_serial(const Csr& a, const Csr& b,
-                                         const NumericReplayProgram& program,
-                                         std::span<value_t> out,
-                                         SimdBackend simd = SimdBackend::kScalar);
 
 /// Method selection, exposed for tests.
 RowMethod choose_symbolic_method(const KernelContext& ctx, index_t row,

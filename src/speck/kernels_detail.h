@@ -1,8 +1,9 @@
-// Internal helpers shared by the symbolic and numeric pass translation
+// Internal helpers shared by the pass, row-analysis and replay-build translation
 // units. Not part of the public API.
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <variant>
@@ -11,6 +12,7 @@
 #include "common/alloc_counter.h"
 #include "common/bit_utils.h"
 #include "common/check.h"
+#include "common/prefix_sum.h"
 #include "speck/hash_acc.h"
 #include "speck/kernels.h"
 #include "speck/local_lb.h"
@@ -22,6 +24,11 @@ namespace speck::detail {
 /// derived from the thread count — so the chunk boundaries (and with them
 /// every per-block result slot) are identical at any parallelism level.
 constexpr std::size_t kBlockChunk = 4;
+
+/// Rows per parallel chunk of the row-parallel loops (row analysis and
+/// estimation, staged compaction, replay-program build, replay). Fixed for
+/// the same reason as kBlockChunk.
+constexpr std::size_t kRowChunk = 256;
 
 /// Merges the per-block counters of `from` into the pass totals. Seconds
 /// and pool bytes are launch-level quantities and are accumulated elsewhere.
@@ -255,6 +262,150 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
   }
 }
 
+/// Accumulator method per row, re-deriving run_numeric_block's block-level
+/// selection from `row_sizes` (the per-row sizes numeric binning ran off):
+/// a block is all-direct only when every row qualifies; otherwise
+/// single-row blocks may go dense and everything else hashes. The staged
+/// passes and the replay-program build must all agree on this — the method
+/// decides a row's traversal and, unmasked, its assign/accumulate semantics.
+inline std::vector<RowMethod> row_methods(const KernelContext& ctx, const BinPlan& plan,
+                                          std::span<const index_t> row_sizes) {
+  std::vector<RowMethod> methods(static_cast<std::size_t>(ctx.a->rows()),
+                                 RowMethod::kHash);
+  for (const BinPlan::Block& block : plan.blocks) {
+    const std::span<const index_t> block_rows(plan.row_order.data() + block.begin,
+                                              block.end - block.begin);
+    if (block_rows.empty()) continue;
+    bool all_direct = ctx.cfg->features.direct_rows;
+    for (const index_t r : block_rows) {
+      all_direct = all_direct && ctx.a->row_length(r) == 1;
+    }
+    if (all_direct) {
+      for (const index_t r : block_rows) {
+        methods[static_cast<std::size_t>(r)] = RowMethod::kDirect;
+      }
+    } else if (block_rows.size() == 1) {
+      // A direct singleton would have made the block all-direct above; the
+      // numeric pass routes any other non-dense choice through hashing.
+      const index_t r = block_rows.front();
+      if (choose_numeric_method(ctx, r, row_sizes[static_cast<std::size_t>(r)],
+                                /*merged_block=*/false,
+                                block.config) == RowMethod::kDense) {
+        methods[static_cast<std::size_t>(r)] = RowMethod::kDense;
+      }
+    }
+  }
+  return methods;
+}
+
+/// The upper-bound result allocation of the numeric passes that run without
+/// a symbolic pass (estimated and masked): every row is staged into a slot
+/// sized by its cap (an NNZ estimate or the mask bound), the actual row
+/// sizes give the exact offsets, and the rows are compacted there.
+///
+/// Three steps vary per pass:
+///  - `stage_row(config, r, method, cap, cols, vals, ws, cost, counters,
+///    tally)` merges row r into its slot, storing at most `cap` entries,
+///    and returns the row's actual NNZ (which may exceed `cap`); it adds the
+///    block's cost observables to `tally`.
+///  - `charge_block(cost, tally)` charges those after the shared row sweep.
+///  - `refit(rows, methods, out)` is the overflow rule: it gets every row
+///    whose actual NNZ exceeded its cap (counted in
+///    PassStats::estimate_underflow_rows and left out of compaction) and
+///    must write it into its exact, still unwritten slot of out.c. It only
+///    runs when such rows exist.
+template <typename Tally, typename StageRow, typename ChargeBlock, typename Refit>
+NumericOutcome run_staged_pass(const KernelContext& ctx, const BinPlan& plan,
+                               std::span<const index_t> caps,
+                               const char* launch_prefix, StageRow&& stage_row,
+                               ChargeBlock&& charge_block, Refit&& refit) {
+  NumericOutcome out;
+  const auto rows = static_cast<std::size_t>(ctx.a->rows());
+  out.row_nnz.assign(rows, 0);
+
+  // Staging: one cap-sized slot per row. The scratch persists across calls
+  // and only ever grows: every staging element is written before it is
+  // read, so re-zeroing megabytes of slots on each call would hand back a
+  // chunk of what skipping the symbolic pass saves.
+  thread_local std::vector<offset_t> staging_offsets;
+  thread_local std::vector<index_t> staging_cols;
+  thread_local std::vector<value_t> staging_vals;
+  if (staging_offsets.size() < rows + 1) staging_offsets.resize(rows + 1);
+  staging_offsets[0] = 0;
+  simd::widen_i32_to_i64(caps.data(), staging_offsets.data() + 1, rows, ctx.simd);
+  inclusive_prefix_sum(std::span<offset_t>(staging_offsets.data() + 1, rows),
+                       ctx.simd);
+  const auto staging_total = static_cast<std::size_t>(staging_offsets[rows]);
+  if (staging_cols.size() < staging_total) staging_cols.resize(staging_total);
+  if (staging_vals.size() < staging_total) staging_vals.resize(staging_total);
+  // Snapshot raw pointers for the worker lambdas: naming a thread_local
+  // inside them would resolve through each *worker's* TLS (empty vectors),
+  // not the coordinating thread's scratch.
+  const offset_t* const slot_start = staging_offsets.data();
+  index_t* const slot_cols = staging_cols.data();
+  value_t* const slot_vals = staging_vals.data();
+
+  const std::vector<RowMethod> methods = row_methods(ctx, plan, caps);
+  execute_block_plan<std::monostate>(
+      ctx, plan, launch_prefix, out.stats,
+      [&](const sim::Launch& launch, const KernelConfig& config,
+          int /*config_index*/, std::span<const index_t> block_rows,
+          PassStats& counters, std::monostate& /*payload*/, KernelWorkspace& ws) {
+        auto cost = launch.make_block(config.threads, config.scratchpad_bytes);
+        const LocalLbDecision lb = choose_group_size(
+            config.threads, block_stats(ctx, block_rows), ctx.cfg->features);
+        Tally tally;
+        for (const index_t r : block_rows) {
+          const auto ri = static_cast<std::size_t>(r);
+          const auto base = static_cast<std::size_t>(slot_start[ri]);
+          const index_t actual =
+              stage_row(config, r, methods[ri], caps[ri], slot_cols + base,
+                        slot_vals + base, ws, cost, counters, tally);
+          out.row_nnz[ri] = actual;
+          if (actual > caps[ri]) ++counters.estimate_underflow_rows;
+          switch (methods[ri]) {
+            case RowMethod::kDirect: ++counters.direct_rows; break;
+            case RowMethod::kDense: ++counters.dense_rows; break;
+            case RowMethod::kHash: ++counters.hash_rows; break;
+          }
+        }
+        charge_row_sweep(cost, ctx, block_rows, lb.group_size, /*numeric=*/true, ws);
+        charge_block(cost, tally);
+        return cost;
+      },
+      [](const std::monostate&) {});
+
+  // Compaction: exact offsets from the actual counts, then every fitting
+  // row moves from its staging slot to its final position.
+  std::vector<offset_t> offsets(rows + 1, 0);
+  simd::widen_i32_to_i64(out.row_nnz.data(), offsets.data() + 1, rows, ctx.simd);
+  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, rows), ctx.simd);
+  std::vector<index_t> out_cols(static_cast<std::size_t>(offsets.back()));
+  std::vector<value_t> out_vals(static_cast<std::size_t>(offsets.back()));
+  pool_or_global(ctx.pool).parallel_for(
+      rows, kRowChunk, [&](std::size_t begin, std::size_t end, int /*worker*/) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const auto n = static_cast<std::size_t>(out.row_nnz[r]);
+          if (n == 0 || out.row_nnz[r] > caps[r]) continue;  // empty or refit
+          const auto src = static_cast<std::size_t>(slot_start[r]);
+          const auto dst = static_cast<std::size_t>(offsets[r]);
+          std::memcpy(out_cols.data() + dst, slot_cols + src, n * sizeof(index_t));
+          std::memcpy(out_vals.data() + dst, slot_vals + src, n * sizeof(value_t));
+        }
+      });
+
+  out.c = Csr(ctx.a->rows(), ctx.b->cols(), std::move(offsets), std::move(out_cols),
+              std::move(out_vals));
+  if (out.stats.estimate_underflow_rows > 0) {
+    std::vector<index_t> overflowed;
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (out.row_nnz[r] > caps[r]) overflowed.push_back(static_cast<index_t>(r));
+    }
+    refit(std::span<const index_t>(overflowed), std::span<const RowMethod>(methods), out);
+  }
+  return out;
+}
+
 /// Size of the pre-allocated global hash map pool for rows that may not fit
 /// the largest scratchpad map (paper §4.3 "Sparse Rows of C").
 inline std::size_t global_pool_bytes(const KernelContext& ctx, const BinPlan& plan,
@@ -284,6 +435,5 @@ inline std::size_t global_pool_bytes(const KernelContext& ctx, const BinPlan& pl
   return pool_maps * static_cast<std::size_t>(next_pow2(static_cast<std::uint64_t>(worst))) *
          entry_bytes;
 }
-
 
 }  // namespace speck::detail

@@ -2,57 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <variant>
 
 #include "common/bit_utils.h"
-#include "common/prefix_sum.h"
 #include "speck/hash_map.h"
 #include "speck/kernels_detail.h"
-#include "speck/local_lb.h"
 
 namespace speck {
 namespace {
-
-/// Rows per parallel chunk (compaction); fixed like everywhere else so chunk
-/// boundaries are identical at any thread count.
-constexpr std::size_t kRowChunk = 256;
-
-/// Accumulator method per row, re-deriving run_numeric's block-level
-/// selection from the masked demand exactly like the estimator does from its
-/// NNZ estimates: all-direct blocks stream, single-row blocks may go dense,
-/// everything else hashes. The masked pass and the masked replay program
-/// only need this for the traversal shape — every masked method adds into an
-/// implicit zero, so the choice never changes a value bit.
-std::vector<RowMethod> methods_for_masked_plan(
-    const KernelContext& ctx, const BinPlan& plan,
-    std::span<const index_t> masked_demand) {
-  const auto rows = static_cast<std::size_t>(ctx.a->rows());
-  std::vector<RowMethod> methods(rows, RowMethod::kHash);
-  for (const BinPlan::Block& block : plan.blocks) {
-    const std::span<const index_t> block_rows(
-        plan.row_order.data() + block.begin, block.end - block.begin);
-    if (block_rows.empty()) continue;
-    bool all_direct = ctx.cfg->features.direct_rows;
-    for (const index_t r : block_rows) {
-      all_direct = all_direct && ctx.a->row_length(r) == 1;
-    }
-    if (all_direct) {
-      for (const index_t r : block_rows) {
-        methods[static_cast<std::size_t>(r)] = RowMethod::kDirect;
-      }
-      continue;
-    }
-    if (block_rows.size() == 1) {
-      const index_t r = block_rows.front();
-      RowMethod method = choose_numeric_method(
-          ctx, r, masked_demand[static_cast<std::size_t>(r)],
-          /*merged_block=*/false, block.config);
-      if (method != RowMethod::kDense) method = RowMethod::kHash;
-      methods[static_cast<std::size_t>(r)] = method;
-    }
-  }
-  return methods;
-}
 
 /// Cost-model observables one block's masked rows accumulate.
 struct MaskedRowCost {
@@ -228,96 +184,35 @@ index_t masked_dense_row(const KernelContext& ctx, const KernelConfig& config,
 
 }  // namespace
 
-MaskedNumericOutcome run_numeric_masked(const KernelContext& ctx,
-                                        const BinPlan& plan,
-                                        std::span<const index_t> masked_demand) {
+NumericOutcome run_numeric_masked(const KernelContext& ctx, const BinPlan& plan,
+                                  std::span<const index_t> masked_demand) {
   SPECK_REQUIRE(ctx.mask != nullptr, "masked numeric pass requires a mask");
-  MaskedNumericOutcome out;
-  const auto rows = static_cast<std::size_t>(ctx.a->rows());
-  out.row_nnz.assign(rows, 0);
-  out.stats.global_pool_bytes =
-      detail::global_pool_bytes(ctx, plan, /*symbolic=*/false);
-
-  // Staging: every row gets a demand-sized slot. The cap is a hard bound —
-  // a row can never touch more mask columns than min(products, mask nnz) —
-  // so unlike the estimated pass there is no overrun bookkeeping and no
-  // fallback. The scratch persists across calls and only grows; every
-  // element is written before it is read.
-  thread_local std::vector<offset_t> masked_offsets;
-  if (masked_offsets.size() < rows + 1) masked_offsets.resize(rows + 1);
-  masked_offsets[0] = 0;
-  simd::widen_i32_to_i64(masked_demand.data(), masked_offsets.data() + 1, rows,
-                         ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(masked_offsets.data() + 1, rows),
-                       ctx.simd);
-  const auto staging_total = static_cast<std::size_t>(masked_offsets[rows]);
-  thread_local std::vector<index_t> staging_cols;
-  thread_local std::vector<value_t> staging_vals;
-  if (staging_cols.size() < staging_total) staging_cols.resize(staging_total);
-  if (staging_vals.size() < staging_total) staging_vals.resize(staging_total);
-  // Snapshot raw pointers for the worker lambdas: naming a thread_local
-  // inside them would resolve through each *worker's* TLS (empty vectors),
-  // not the coordinating thread's scratch.
-  const offset_t* const masked_offsets_ptr = masked_offsets.data();
-  index_t* const staging_cols_ptr = staging_cols.data();
-  value_t* const staging_vals_ptr = staging_vals.data();
-
-  const std::vector<RowMethod> methods =
-      methods_for_masked_plan(ctx, plan, masked_demand);
-
-  detail::execute_block_plan<std::monostate>(
-      ctx, plan, "numeric_masked/", out.stats,
-      [&](const sim::Launch& launch, const KernelConfig& config,
-          int /*config_index*/, std::span<const index_t> block_rows,
-          PassStats& counters, std::monostate& /*payload*/,
-          KernelWorkspace& ws) {
-        auto cost = launch.make_block(config.threads, config.scratchpad_bytes);
-        const BlockRowStats row_stats = detail::block_stats(ctx, block_rows);
-        const LocalLbDecision lb =
-            choose_group_size(config.threads, row_stats, ctx.cfg->features);
-
-        MaskedRowCost rc;
-        for (const index_t r : block_rows) {
-          const auto ri = static_cast<std::size_t>(r);
-          const RowMethod method = methods[ri];
-          const auto base = static_cast<std::size_t>(masked_offsets_ptr[ri]);
-          rc.mask_words += static_cast<std::size_t>(ctx.mask->row_length(r));
-          index_t actual = 0;
-          // A row with no products or an empty mask row is empty; skipping
-          // it early keeps huge-mask/empty-A rows from paying a seed pass.
-          if (masked_demand[ri] > 0) {
-            switch (method) {
-              case RowMethod::kDirect:
-                actual = masked_direct_row(ctx, r, staging_cols_ptr + base,
-                                           staging_vals_ptr + base, rc);
-                break;
-              case RowMethod::kDense:
-                actual = masked_dense_row(ctx, config, r,
-                                          staging_cols_ptr + base,
-                                          staging_vals_ptr + base, ws.dense(),
-                                          rc);
-                break;
-              case RowMethod::kHash:
-                actual = masked_hash_row(ctx, config, r,
-                                         staging_cols_ptr + base,
-                                         staging_vals_ptr + base, ws, cost,
-                                         counters, rc);
-                break;
-            }
-          }
-          SPECK_ASSERT(actual <= masked_demand[ri],
-                       "masked row exceeded its demand bound");
-          out.row_nnz[ri] = actual;
-          rc.written += static_cast<std::size_t>(actual);
-          switch (method) {
-            case RowMethod::kDirect: ++counters.direct_rows; break;
-            case RowMethod::kDense: ++counters.dense_rows; break;
-            case RowMethod::kHash: ++counters.hash_rows; break;
-          }
+  NumericOutcome out = detail::run_staged_pass<MaskedRowCost>(
+      ctx, plan, masked_demand, "numeric_masked/",
+      [&](const KernelConfig& config, index_t r, RowMethod method, index_t cap,
+          index_t* cols, value_t* vals, KernelWorkspace& ws, sim::BlockCost& cost,
+          PassStats& counters, MaskedRowCost& rc) {
+        rc.mask_words += static_cast<std::size_t>(ctx.mask->row_length(r));
+        // A row with no products or an empty mask row is empty; skipping
+        // it early keeps huge-mask/empty-A rows from paying a seed pass.
+        if (cap == 0) return index_t{0};
+        index_t actual = 0;
+        switch (method) {
+          case RowMethod::kDirect:
+            actual = masked_direct_row(ctx, r, cols, vals, rc);
+            break;
+          case RowMethod::kDense:
+            actual = masked_dense_row(ctx, config, r, cols, vals, ws.dense(), rc);
+            break;
+          case RowMethod::kHash:
+            actual = masked_hash_row(ctx, config, r, cols, vals, ws, cost,
+                                     counters, rc);
+            break;
         }
-
-        detail::charge_row_sweep(cost, ctx, block_rows, lb.group_size,
-                                 /*numeric=*/true, ws);
+        rc.written += static_cast<std::size_t>(actual);
+        return actual;
+      },
+      [](sim::BlockCost& cost, const MaskedRowCost& rc) {
         cost.global_coalesced(rc.mask_words);  // mask columns (seed/gather)
         cost.smem(2.0 * static_cast<double>(rc.touches));  // window scatter
         cost.issued(static_cast<double>(rc.touches), 2.0);
@@ -325,35 +220,14 @@ MaskedNumericOutcome run_numeric_masked(const KernelContext& ctx,
         cost.issued(static_cast<double>(rc.gathered), 2.0);  // masked gather
         cost.global_coalesced(rc.written);
         cost.global_coalesced64(rc.written);
-        return cost;
       },
-      [](const std::monostate&) {});
-
-  // Compaction: exact offsets from the actual counts, then every non-empty
-  // row moves from its demand-sized staging slot to its final position.
-  std::vector<offset_t> offsets(rows + 1, 0);
-  simd::widen_i32_to_i64(out.row_nnz.data(), offsets.data() + 1, rows,
-                         ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, rows), ctx.simd);
-  std::vector<index_t> out_cols(static_cast<std::size_t>(offsets.back()));
-  std::vector<value_t> out_vals(static_cast<std::size_t>(offsets.back()));
-
-  pool_or_global(ctx.pool).parallel_for(
-      rows, kRowChunk, [&](std::size_t begin, std::size_t end, int /*worker*/) {
-        for (std::size_t r = begin; r < end; ++r) {
-          const auto n = static_cast<std::size_t>(out.row_nnz[r]);
-          if (n == 0) continue;
-          const auto src = static_cast<std::size_t>(masked_offsets_ptr[r]);
-          const auto dst = static_cast<std::size_t>(offsets[r]);
-          std::memcpy(out_cols.data() + dst, staging_cols_ptr + src,
-                      n * sizeof(index_t));
-          std::memcpy(out_vals.data() + dst, staging_vals_ptr + src,
-                      n * sizeof(value_t));
-        }
+      // Overflow rule: none can happen — a row never touches more mask
+      // columns than min(products, mask row nnz), its cap.
+      [](std::span<const index_t> overflowed, auto&&...) {
+        SPECK_ASSERT(overflowed.empty(), "masked row exceeded its demand bound");
       });
-
-  out.c = Csr(ctx.a->rows(), ctx.b->cols(), std::move(offsets),
-              std::move(out_cols), std::move(out_vals));
+  out.stats.global_pool_bytes =
+      detail::global_pool_bytes(ctx, plan, /*symbolic=*/false);
   return out;
 }
 

@@ -20,12 +20,8 @@
 
 namespace speck {
 
-struct MaskedNumericOutcome {
-  Csr c;
-  /// Exact NNZ per row of C (touched mask columns).
-  std::vector<index_t> row_nnz;
-  PassStats stats;
-};
+/// Kept for callers that name the masked pass's result type.
+using MaskedNumericOutcome = NumericOutcome;
 
 /// Runs the masked numeric pass over the given block plan. `ctx.mask` must
 /// be set (an m×n CSR aligned with C); `masked_demand` is the per-row
@@ -34,8 +30,7 @@ struct MaskedNumericOutcome {
 /// what keeps the kernels, the oracle and the values-only replay
 /// bit-identical. Output rows emerge in mask-column order — already sorted —
 /// so no sort pass follows.
-MaskedNumericOutcome run_numeric_masked(const KernelContext& ctx,
-                                        const BinPlan& plan,
-                                        std::span<const index_t> masked_demand);
+NumericOutcome run_numeric_masked(const KernelContext& ctx, const BinPlan& plan,
+                                  std::span<const index_t> masked_demand);
 
 }  // namespace speck

@@ -341,60 +341,21 @@ NumericOutcome run_numeric(const KernelContext& ctx, const BinPlan& plan,
 
 namespace {
 
-/// Shared replay inner loop for rows [begin, end): walks A's and B's CSR
-/// structure in build order — C row outer, A entry next, referenced B row
-/// inner — so the program never stores value positions, only the packed
-/// dest word per product. The (a, b) value reads are sequential per
-/// segment; the only scatter is the dest slot, which is what the vector
-/// backends prefetch ahead. Prefetch is a pure hint — the arithmetic and
-/// its order are identical on every backend.
-void replay_rows_program(const Csr& a, const Csr& b,
-                         const NumericReplayProgram& program, std::size_t begin,
-                         std::size_t end, std::span<value_t> out,
-                         SimdBackend simd) {
+/// Replay inner loop for rows [begin, end): walks A's and B's CSR structure
+/// in build order — C row outer, A entry next, referenced B row inner — so
+/// the program never stores value positions, only the packed dest word per
+/// product. The (a, b) value reads are sequential per segment; the only
+/// scatter is the dest slot, which the vector backends prefetch ahead.
+/// Prefetch is a pure hint — the arithmetic and its order are identical on
+/// every backend. Unmasked programs assign or add per the kAssignFirst bit;
+/// masked ones drop kSkip products and add the rest into the zero-filled
+/// `out` (the masked kernels' 0.0 + p first-touch convention). One
+/// instantiation each keeps the unmasked loop branch-free.
+template <bool kMasked>
+void replay_rows(const Csr& a, const Csr& b, const NumericReplayProgram& program,
+                 std::size_t begin, std::size_t end, std::span<value_t> out,
+                 SimdBackend simd) {
   constexpr std::uint32_t kAssign = NumericReplayProgram::kAssignFirst;
-  const value_t* a_vals = a.values().data();
-  const value_t* b_vals = b.values().data();
-  const std::uint32_t* dest = program.dest.data();
-  const std::span<const offset_t> a_offsets = a.row_offsets();
-  const std::span<const offset_t> b_offsets = b.row_offsets();
-  const index_t* a_cols = a.col_indices().data();
-  constexpr std::size_t kPrefetchDistance = 16;
-  const bool prefetch_slots = simd != SimdBackend::kScalar;
-  const auto op_limit = static_cast<std::size_t>(program.row_op_start[end]);
-  auto op = static_cast<std::size_t>(program.row_op_start[begin]);
-  for (std::size_t r = begin; r < end; ++r) {
-    const auto row_begin = static_cast<std::size_t>(a_offsets[r]);
-    const auto row_end = static_cast<std::size_t>(a_offsets[r + 1]);
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      const value_t av = a_vals[i];
-      const auto k = static_cast<std::size_t>(a_cols[i]);
-      const auto seg_end = static_cast<std::size_t>(b_offsets[k + 1]);
-      for (auto bp = static_cast<std::size_t>(b_offsets[k]); bp < seg_end;
-           ++bp, ++op) {
-        if (prefetch_slots && op + kPrefetchDistance < op_limit) {
-          simd::prefetch(out.data() +
-                         (dest[op + kPrefetchDistance] & ~kAssign));
-        }
-        const value_t product = av * b_vals[bp];
-        const std::uint32_t d = dest[op];
-        value_t& slot = out[d & ~kAssign];
-        slot = (d & kAssign) != 0 ? product : slot + product;
-      }
-    }
-  }
-}
-
-/// Masked variant of replay_rows_program: the same CSR walk, but dest words
-/// may be NumericReplayProgram::kSkip (product's B column outside the frozen
-/// masked C pattern — dropped) and never carry kAssignFirst (the caller
-/// zero-fills `out`, so pure adds reproduce the masked kernels' 0.0 + p
-/// first-touch convention). Kept separate so the unmasked loop stays
-/// branch-free.
-void replay_rows_program_masked(const Csr& a, const Csr& b,
-                                const NumericReplayProgram& program,
-                                std::size_t begin, std::size_t end,
-                                std::span<value_t> out, SimdBackend simd) {
   constexpr std::uint32_t kSkip = NumericReplayProgram::kSkip;
   const value_t* a_vals = a.values().data();
   const value_t* b_vals = b.values().data();
@@ -415,13 +376,24 @@ void replay_rows_program_masked(const Csr& a, const Csr& b,
       const auto seg_end = static_cast<std::size_t>(b_offsets[k + 1]);
       for (auto bp = static_cast<std::size_t>(b_offsets[k]); bp < seg_end;
            ++bp, ++op) {
-        if (prefetch_slots && op + kPrefetchDistance < op_limit &&
-            dest[op + kPrefetchDistance] != kSkip) {
-          simd::prefetch(out.data() + dest[op + kPrefetchDistance]);
+        if constexpr (kMasked) {
+          if (prefetch_slots && op + kPrefetchDistance < op_limit &&
+              dest[op + kPrefetchDistance] != kSkip) {
+            simd::prefetch(out.data() + dest[op + kPrefetchDistance]);
+          }
+          const std::uint32_t d = dest[op];
+          if (d == kSkip) continue;
+          out[d] += av * b_vals[bp];
+        } else {
+          if (prefetch_slots && op + kPrefetchDistance < op_limit) {
+            simd::prefetch(out.data() +
+                           (dest[op + kPrefetchDistance] & ~kAssign));
+          }
+          const value_t product = av * b_vals[bp];
+          const std::uint32_t d = dest[op];
+          value_t& slot = out[d & ~kAssign];
+          slot = (d & kAssign) != 0 ? product : slot + product;
         }
-        const std::uint32_t d = dest[op];
-        if (d == kSkip) continue;
-        out[d] += av * b_vals[bp];
       }
     }
   }
@@ -436,45 +408,31 @@ std::size_t replay_numeric_values(const Csr& a, const Csr& b,
   const std::size_t rows =
       program.row_op_start.empty() ? 0 : program.row_op_start.size() - 1;
   if (rows == 0) return 0;
+  const auto replay = [&](std::size_t begin, std::size_t end) {
+    const std::size_t allocs_before = detail::alloc_events_now();
+    if (program.masked) {
+      replay_rows<true>(a, b, program, begin, end, out, simd);
+    } else {
+      replay_rows<false>(a, b, program, begin, end, out, simd);
+    }
+    return detail::alloc_events_now() - allocs_before;
+  };
+  ThreadPool& workers = pool_or_global(pool);
+  if (workers.thread_count() == 1) return replay(0, rows);
 
   // Fixed row chunking — like the block passes, boundaries are a pure
   // function of the row count, so the replay is bit-identical at any thread
   // count (each C row's ops run in program order on exactly one worker, and
   // rows own disjoint slots of `out`).
-  constexpr std::size_t kRowChunk = 256;
-  const std::size_t chunks = (rows + kRowChunk - 1) / kRowChunk;
-  std::vector<std::size_t> chunk_allocs(chunks, 0);
-  pool_or_global(pool).parallel_for(
-      rows, kRowChunk, [&](std::size_t begin, std::size_t end, int /*worker*/) {
-        const std::size_t allocs_before = detail::alloc_events_now();
-        if (program.masked) {
-          replay_rows_program_masked(a, b, program, begin, end, out, simd);
-        } else {
-          replay_rows_program(a, b, program, begin, end, out, simd);
-        }
-        chunk_allocs[begin / kRowChunk] +=
-            detail::alloc_events_now() - allocs_before;
-      });
-
+  std::vector<std::size_t> chunk_allocs(
+      (rows + detail::kRowChunk - 1) / detail::kRowChunk, 0);
+  workers.parallel_for(rows, detail::kRowChunk,
+                       [&](std::size_t begin, std::size_t end, int /*worker*/) {
+                         chunk_allocs[begin / detail::kRowChunk] += replay(begin, end);
+                       });
   std::size_t total_allocs = 0;
   for (const std::size_t n : chunk_allocs) total_allocs += n;
   return total_allocs;
-}
-
-std::size_t replay_numeric_values_serial(const Csr& a, const Csr& b,
-                                         const NumericReplayProgram& program,
-                                         std::span<value_t> out,
-                                         SimdBackend simd) {
-  const std::size_t rows =
-      program.row_op_start.empty() ? 0 : program.row_op_start.size() - 1;
-  if (rows == 0) return 0;
-  const std::size_t allocs_before = detail::alloc_events_now();
-  if (program.masked) {
-    replay_rows_program_masked(a, b, program, 0, rows, out, simd);
-  } else {
-    replay_rows_program(a, b, program, 0, rows, out, simd);
-  }
-  return detail::alloc_events_now() - allocs_before;
 }
 
 }  // namespace speck

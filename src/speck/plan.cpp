@@ -7,7 +7,7 @@
 #include "common/prefix_sum.h"
 #include "common/prng.h"
 #include "common/thread_pool.h"
-#include "speck/workspace.h"
+#include "speck/kernels_detail.h"
 
 namespace speck {
 namespace {
@@ -206,14 +206,16 @@ std::size_t estimate_plan_bytes(const Csr& a, const Csr& b) {
 
 NumericReplayProgram build_replay_program(const KernelContext& ctx,
                                           const BinPlan& numeric_plan,
-                                          std::span<const index_t> row_nnz,
+                                          std::span<const index_t> row_sizes,
                                           std::span<const offset_t> c_row_offsets,
                                           std::span<const index_t> c_col_indices) {
+  constexpr std::uint32_t kAssignFirst = NumericReplayProgram::kAssignFirst;
   const Csr& a = *ctx.a;
   const Csr& b = *ctx.b;
   const auto rows = static_cast<std::size_t>(a.rows());
 
   NumericReplayProgram program;
+  program.masked = ctx.mask != nullptr;
   program.row_op_start.assign(rows + 1, 0);
   if (rows == 0) return program;
 
@@ -223,197 +225,88 @@ NumericReplayProgram build_replay_program(const KernelContext& ctx,
       ctx.workspaces != nullptr ? *ctx.workspaces : local_workspaces;
   workspaces.ensure(pool.thread_count());
 
-  // Accumulator method per row, mirroring run_numeric_block's block-level
-  // selection exactly: a block is all-direct only when every row qualifies;
-  // otherwise single-row blocks may pick dense and everything else hashes.
-  std::vector<RowMethod> methods(rows, RowMethod::kHash);
-  for (const BinPlan::Block& block : numeric_plan.blocks) {
-    const std::span<const index_t> block_rows(
-        numeric_plan.row_order.data() + block.begin, block.end - block.begin);
-    if (block_rows.empty()) continue;
-    bool all_direct = ctx.cfg->features.direct_rows;
-    for (const index_t r : block_rows) {
-      all_direct = all_direct && a.row_length(r) == 1;
-    }
-    if (all_direct) {
-      for (const index_t r : block_rows) {
-        methods[static_cast<std::size_t>(r)] = RowMethod::kDirect;
-      }
-      continue;
-    }
-    if (block_rows.size() == 1) {
-      const index_t r = block_rows.front();
-      RowMethod method =
-          choose_numeric_method(ctx, r, row_nnz[static_cast<std::size_t>(r)],
-                                /*merged_block=*/false, block.config);
-      // A direct singleton would have made the block all-direct above; the
-      // numeric pass routes any other non-dense choice through hashing.
-      if (method != RowMethod::kDense) method = RowMethod::kHash;
-      methods[static_cast<std::size_t>(r)] = method;
-    }
-  }
+  // Masked programs never assign, so only unmasked ones need the per-row
+  // accumulator methods.
+  const std::vector<RowMethod> methods =
+      program.masked ? std::vector<RowMethod>{}
+                     : detail::row_methods(ctx, numeric_plan, row_sizes);
 
-  // Exact per-row op counts (never the fault-perturbed analysis estimates),
-  // then a prefix sum (SIMD scan) so every row owns its program slice.
-  // Without a fault injector the analysis products ARE the exact counts
-  // (sum of referenced B-row lengths per row of A), so the O(products)
-  // recount walk collapses to an O(rows) copy.
+  // Every product gets a dest word — a masked replay walks them all and
+  // drops the off-mask ones — so a row's slice is its exact product count,
+  // then a prefix sum (SIMD scan) places the slices.
   std::vector<offset_t>& starts = program.row_op_start;
-  if (ctx.faults == nullptr && ctx.analysis != nullptr &&
-      ctx.analysis->products.size() == rows) {
-    std::copy(ctx.analysis->products.begin(), ctx.analysis->products.end(),
-              starts.begin() + 1);
-  } else {
-    pool.parallel_for(rows, 512,
-                      [&](std::size_t begin, std::size_t end, int /*worker*/) {
-                        for (std::size_t r = begin; r < end; ++r) {
-                          offset_t ops = 0;
-                          for (const index_t k :
-                               a.row_cols(static_cast<index_t>(r))) {
-                            ops += b.row_length(k);
-                          }
-                          starts[r + 1] = ops;
-                        }
-                      });
-  }
+  pool.parallel_for(rows, detail::kRowChunk,
+                    [&](std::size_t begin, std::size_t end, int /*worker*/) {
+                      for (std::size_t r = begin; r < end; ++r) {
+                        starts[r + 1] = ctx.exact_products(static_cast<index_t>(r));
+                      }
+                    });
   inclusive_prefix_sum(std::span<offset_t>(starts.data() + 1, rows), ctx.simd);
-
-  const auto total_ops = static_cast<std::size_t>(starts.back());
-  program.dest.resize(total_ops);
+  program.dest.resize(static_cast<std::size_t>(starts.back()));
 
   const auto b_cols_total = static_cast<std::size_t>(b.cols());
-  pool.parallel_for(rows, 256, [&](std::size_t begin, std::size_t end,
-                                   int worker) {
-    std::vector<std::uint8_t>& seen = workspaces.at(worker).replay_seen();
-    // Column -> local C-row slot scatter map. Never cleared between rows:
+  pool.parallel_for(rows, detail::kRowChunk, [&](std::size_t begin,
+                                                 std::size_t end, int worker) {
+    KernelWorkspace& ws = workspaces.at(worker);
+    std::vector<std::uint8_t>& seen = ws.replay_seen();
+    // Column -> local C-row slot scatter map, never cleared between rows:
     // each row writes all of its own columns before reading, and a stale
-    // entry can only surface for a column missing from the frozen pattern,
-    // which the recheck below rejects.
-    std::vector<std::uint32_t>& colmap = workspaces.at(worker).replay_colmap();
-    if (colmap.size() < b_cols_total) colmap.resize(b_cols_total);
+    // entry can only surface for a column missing from the row's frozen
+    // pattern, which the recheck below catches.
+    std::vector<std::uint32_t>& colmap = ws.colmap(b_cols_total);
     for (std::size_t r = begin; r < end; ++r) {
-      auto op = static_cast<std::size_t>(starts[r]);
-      const auto c_begin = static_cast<std::size_t>(c_row_offsets[r]);
-      const auto c_end = static_cast<std::size_t>(c_row_offsets[r + 1]);
+      std::uint32_t* dest = program.dest.data() + starts[r];
+      const auto c_begin = static_cast<std::uint32_t>(c_row_offsets[r]);
       const auto a_cols = a.row_cols(static_cast<index_t>(r));
-
-      if (methods[r] == RowMethod::kDirect) {
+      if (!program.masked && methods[r] == RowMethod::kDirect) {
         // Single A entry: the C row is the referenced B row, in order.
-        if (!a_cols.empty()) {
-          const auto len = static_cast<std::size_t>(b.row_length(a_cols.front()));
-          for (std::size_t j = 0; j < len; ++j) {
-            program.dest[op] = static_cast<std::uint32_t>(c_begin + j) |
-                               NumericReplayProgram::kAssignFirst;
-            ++op;
-          }
-        }
+        if (a_cols.empty()) continue;
+        const auto len = static_cast<std::uint32_t>(b.row_length(a_cols.front()));
+        for (std::uint32_t j = 0; j < len; ++j) *dest++ = (c_begin + j) | kAssignFirst;
         continue;
       }
 
-      const bool hash = methods[r] == RowMethod::kHash;
-      const std::span<const index_t> c_cols =
-          c_col_indices.subspan(c_begin, c_end - c_begin);
-      if (hash) seen.assign(c_cols.size(), 0);
+      const std::span<const index_t> c_cols = c_col_indices.subspan(
+          c_begin, static_cast<std::size_t>(c_row_offsets[r + 1]) - c_begin);
       for (std::size_t l = 0; l < c_cols.size(); ++l) {
-        colmap[static_cast<std::size_t>(c_cols[l])] =
-            static_cast<std::uint32_t>(l);
+        colmap[static_cast<std::size_t>(c_cols[l])] = static_cast<std::uint32_t>(l);
       }
-      for (std::size_t i = 0; i < a_cols.size(); ++i) {
-        const index_t k = a_cols[i];
-        const auto b_cols = b.row_cols(k);
-        for (std::size_t j = 0; j < b_cols.size(); ++j) {
-          const auto local = static_cast<std::size_t>(
-              colmap[static_cast<std::size_t>(b_cols[j])]);
-          SPECK_ASSERT(local < c_cols.size() && c_cols[local] == b_cols[j],
-                       "replay program: product column missing from the "
-                       "frozen C pattern");
-          const bool assign = hash && seen[local] == 0;
-          program.dest[op] =
-              static_cast<std::uint32_t>(c_begin + local) |
-              (assign ? NumericReplayProgram::kAssignFirst : 0u);
-          if (hash) seen[local] = 1;
-          ++op;
+      // Walks the row's products in replay order and stores the row's
+      // encoding of each: (whether the product's column is in the frozen
+      // pattern, its local slot) -> dest word. The encoding is picked once
+      // per row below, never per product.
+      const auto emit = [&](auto encode) {
+        for (const index_t k : a_cols) {
+          for (const index_t col : b.row_cols(k)) {
+            const std::uint32_t local = colmap[static_cast<std::size_t>(col)];
+            *dest++ = encode(local < c_cols.size() && c_cols[local] == col, local);
+          }
         }
-      }
-    }
-  });
-
-  return program;
-}
-
-NumericReplayProgram build_replay_program_masked(
-    const KernelContext& ctx, std::span<const offset_t> c_row_offsets,
-    std::span<const index_t> c_col_indices) {
-  const Csr& a = *ctx.a;
-  const Csr& b = *ctx.b;
-  const auto rows = static_cast<std::size_t>(a.rows());
-
-  NumericReplayProgram program;
-  program.masked = true;
-  program.row_op_start.assign(rows + 1, 0);
-  if (rows == 0) return program;
-
-  ThreadPool& pool = pool_or_global(ctx.pool);
-  WorkspacePool local_workspaces;
-  WorkspacePool& workspaces =
-      ctx.workspaces != nullptr ? *ctx.workspaces : local_workspaces;
-  workspaces.ensure(pool.thread_count());
-
-  // Exact per-row op counts — the full product enumeration, not the masked
-  // output size: the replay walks every product and drops the off-mask ones
-  // via kSkip, which is what keeps the walk a pure function of A's and B's
-  // structure (same recount/copy split as the unmasked build).
-  std::vector<offset_t>& starts = program.row_op_start;
-  if (ctx.faults == nullptr && ctx.analysis != nullptr &&
-      ctx.analysis->products.size() == rows) {
-    std::copy(ctx.analysis->products.begin(), ctx.analysis->products.end(),
-              starts.begin() + 1);
-  } else {
-    pool.parallel_for(rows, 512,
-                      [&](std::size_t begin, std::size_t end, int /*worker*/) {
-                        for (std::size_t r = begin; r < end; ++r) {
-                          offset_t ops = 0;
-                          for (const index_t k :
-                               a.row_cols(static_cast<index_t>(r))) {
-                            ops += b.row_length(k);
-                          }
-                          starts[r + 1] = ops;
-                        }
-                      });
-  }
-  inclusive_prefix_sum(std::span<offset_t>(starts.data() + 1, rows), ctx.simd);
-
-  const auto total_ops = static_cast<std::size_t>(starts.back());
-  program.dest.resize(total_ops);
-
-  const auto b_cols_total = static_cast<std::size_t>(b.cols());
-  pool.parallel_for(rows, 256, [&](std::size_t begin, std::size_t end,
-                                   int worker) {
-    // Column -> local C-row slot scatter map, never cleared between rows:
-    // a stale entry only surfaces for a column missing from the row's
-    // frozen pattern, exactly the case the recheck below turns into kSkip.
-    std::vector<std::uint32_t>& colmap = workspaces.at(worker).replay_colmap();
-    if (colmap.size() < b_cols_total) colmap.resize(b_cols_total);
-    for (std::size_t r = begin; r < end; ++r) {
-      auto op = static_cast<std::size_t>(starts[r]);
-      const auto c_begin = static_cast<std::size_t>(c_row_offsets[r]);
-      const auto c_end = static_cast<std::size_t>(c_row_offsets[r + 1]);
-      const std::span<const index_t> c_cols =
-          c_col_indices.subspan(c_begin, c_end - c_begin);
-      for (std::size_t l = 0; l < c_cols.size(); ++l) {
-        colmap[static_cast<std::size_t>(c_cols[l])] =
-            static_cast<std::uint32_t>(l);
-      }
-      for (const index_t k : a.row_cols(static_cast<index_t>(r))) {
-        for (const index_t col : b.row_cols(k)) {
-          const auto local =
-              static_cast<std::size_t>(colmap[static_cast<std::size_t>(col)]);
-          program.dest[op] =
-              local < c_cols.size() && c_cols[local] == col
-                  ? static_cast<std::uint32_t>(c_begin + local)
-                  : NumericReplayProgram::kSkip;
-          ++op;
-        }
+      };
+      constexpr const char* kMissing =
+          "replay program: product column missing from the frozen C pattern";
+      if (program.masked) {
+        // Off-mask products are dropped; the rest add into the zero-filled
+        // output, mirroring the masked kernels' 0.0 + p first touch.
+        emit([&](bool found, std::uint32_t local) {
+          return found ? c_begin + local : NumericReplayProgram::kSkip;
+        });
+      } else if (methods[r] == RowMethod::kHash) {
+        // Hash rows assign their first contribution to a slot, then add.
+        seen.assign(c_cols.size(), 0);
+        emit([&](bool found, std::uint32_t local) {
+          SPECK_ASSERT(found, kMissing);
+          const std::uint32_t word =
+              (c_begin + local) | (seen[local] == 0 ? kAssignFirst : 0u);
+          seen[local] = 1;
+          return word;
+        });
+      } else {
+        // Dense rows add into a zero-initialized window.
+        emit([&](bool found, std::uint32_t local) {
+          SPECK_ASSERT(found, kMissing);
+          return c_begin + local;
+        });
       }
     }
   });

@@ -204,29 +204,24 @@ std::size_t estimate_plan_bytes(const Csr& a, const Csr& b);
 bool replay_indices_fit(std::uint64_t a_nnz, std::uint64_t b_nnz,
                         std::uint64_t c_nnz);
 
-/// Builds the values-only replay program for a numeric plan: walks the
-/// blocks exactly like run_numeric (same method selection, same A-row-outer
-/// / B-row-inner order) and records, per intermediate product, the value
-/// indices, the destination slot in the frozen C pattern and whether the
-/// product assigns or accumulates (hash/direct rows assign their first
-/// touch, dense rows add into a zero-initialized window). Parallelized over
-/// C rows; the result is independent of the thread count. Requires the nnz
-/// of A, B and C to pass replay_indices_fit — the caller checks and marks
-/// the plan incomplete otherwise.
+/// Builds the values-only replay program for a numeric plan: walks every
+/// intermediate product in the order the numeric kernels accumulate them
+/// (A-row outer, B-row inner) and records only its dest word — the
+/// destination slot in the frozen C pattern plus, unmasked, whether the
+/// product assigns or accumulates. The accumulator method per row is
+/// re-derived from `row_sizes` (the sizes numeric binning ran off) exactly
+/// like run_numeric selects it: hash and direct rows assign their first
+/// touch, dense rows add into a zero-initialized window. With ctx.mask set
+/// the program is masked (program.masked): a product whose column is
+/// missing from the frozen masked C pattern gets kSkip and no word carries
+/// kAssignFirst, since masked replays add into a zero-filled buffer.
+/// Parallelized over C rows; the result is independent of the thread count.
+/// Requires the nnz of A, B and C to pass replay_indices_fit — the caller
+/// checks and marks the plan incomplete otherwise.
 NumericReplayProgram build_replay_program(const KernelContext& ctx,
                                           const BinPlan& numeric_plan,
-                                          std::span<const index_t> row_nnz,
+                                          std::span<const index_t> row_sizes,
                                           std::span<const offset_t> c_row_offsets,
                                           std::span<const index_t> c_col_indices);
-
-/// Masked variant: same product enumeration, but a product whose B column is
-/// missing from the frozen masked C pattern gets the kSkip sentinel (the
-/// replay drops it) and no dest word ever carries kAssignFirst — masked
-/// replays add into a zero-filled buffer, mirroring the masked kernels'
-/// 0.0 + p first-touch convention, so no per-row method derivation is
-/// needed. Sets program.masked.
-NumericReplayProgram build_replay_program_masked(
-    const KernelContext& ctx, std::span<const offset_t> c_row_offsets,
-    std::span<const index_t> c_col_indices);
 
 }  // namespace speck

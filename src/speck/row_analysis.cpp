@@ -3,17 +3,9 @@
 #include <algorithm>
 
 #include "common/bit_utils.h"
+#include "speck/kernels_detail.h"
 
 namespace speck {
-
-namespace {
-
-/// Rows per parallel chunk. Fixed (never derived from the thread count) so
-/// chunk boundaries — and with them every per-row result — are identical at
-/// any parallelism level.
-constexpr std::size_t kRowChunk = 256;
-
-}  // namespace
 
 RowAnalysis analyze_rows(const Csr& a, const Csr& b, sim::Launch& launch,
                          ThreadPool* pool, const FaultInjector* faults) {
@@ -37,7 +29,7 @@ RowAnalysis analyze_rows(const Csr& a, const Csr& b, sim::Launch& launch,
   // scanned in parallel chunks; the totals are reduced from the per-row
   // results afterwards (integer sum/max — order-independent).
   pool_or_global(pool).parallel_for(
-      static_cast<std::size_t>(a.rows()), kRowChunk,
+      static_cast<std::size_t>(a.rows()), detail::kRowChunk,
       [&](std::size_t begin, std::size_t end, int) {
         for (std::size_t ri = begin; ri < end; ++ri) {
           const auto r = static_cast<index_t>(ri);

@@ -266,13 +266,8 @@ class Speck::PipelineRun {
         row_sizes_.resize(static_cast<std::size_t>(a_.rows()));
         for (std::size_t r = 0; r < row_sizes_.size(); ++r) {
           const auto row = static_cast<index_t>(r);
-          offset_t products = rows_.analysis.products[r];
-          if (faults_ != nullptr) {
-            products = 0;
-            for (const index_t k : a_.row_cols(row)) products += b_.row_length(k);
-          }
-          row_sizes_[r] = static_cast<index_t>(
-              std::min<offset_t>(products, mask_->row_length(row)));
+          row_sizes_[r] = static_cast<index_t>(std::min<offset_t>(
+              ctx_.exact_products(row), mask_->row_length(row)));
         }
         break;
       }
@@ -312,24 +307,19 @@ class Speck::PipelineRun {
     }
     trace_mark_ = trace_.launches().size();
     switch (source_) {
-      case RowSizes::kSymbolic: {
-        NumericOutcome out = run_numeric(ctx_, numeric_plan_, row_sizes_);
-        numeric_ = {std::move(out.c), {}, out.stats, out.sorting_seconds,
-                    out.radix_sorted_elements};
+      case RowSizes::kSymbolic:
+        numeric_ = run_numeric(ctx_, numeric_plan_, row_sizes_);
         break;
-      }
       case RowSizes::kEstimated:
         // Discovers the exact pattern, re-running underflowed rows through
         // the exact fallback, and compacts.
         numeric_ = run_numeric_estimated(ctx_, numeric_plan_, row_sizes_);
         break;
-      case RowSizes::kMask: {
+      case RowSizes::kMask:
         // No sort follows: mask rows are ascending, so extraction emits C
         // already in final order.
-        MaskedNumericOutcome out = run_numeric_masked(ctx_, numeric_plan_, row_sizes_);
-        numeric_ = {std::move(out.c), std::move(out.row_nnz), out.stats};
+        numeric_ = run_numeric_masked(ctx_, numeric_plan_, row_sizes_);
         break;
-      }
     }
     diag_.numeric = numeric_.stats;
     diag_.radix_sorted_elements = numeric_.radix_sorted_elements;
@@ -385,14 +375,10 @@ class Speck::PipelineRun {
                             static_cast<std::uint64_t>(plan.c_nnz()))) {
       plan.incomplete_reason = "matrix too large for the 32-bit replay program";
     } else {
-      plan.program =
-          source_ == RowSizes::kMask
-              ? build_replay_program_masked(ctx_, plan.c_row_offsets,
-                                            plan.c_col_indices)
-              : build_replay_program(
-                    ctx_, numeric_plan_,
-                    source_ == RowSizes::kEstimated ? row_sizes_ : plan.row_nnz,
-                    plan.c_row_offsets, plan.c_col_indices);
+      plan.program = build_replay_program(
+          ctx_, numeric_plan_,
+          source_ == RowSizes::kSymbolic ? plan.row_nnz : row_sizes_,
+          plan.c_row_offsets, plan.c_col_indices);
       plan.complete = true;
     }
     plan.analysis = std::move(rows_.analysis);
@@ -474,8 +460,7 @@ class Speck::PipelineRun {
   /// counts, NNZ estimates, or per-row mask demand.
   std::vector<index_t> row_sizes_;
   std::size_t staging_bytes_ = 0;
-  /// The widest of the three numeric outcome shapes.
-  EstimatedNumericOutcome numeric_;
+  NumericOutcome numeric_;
   std::size_t trace_mark_ = 0;
 };
 
@@ -677,20 +662,16 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
     return result;
   }
 
-  const SimdBackend simd = simd::resolve_backend(config_.simd_backend);
-  // A 1-thread pool means the caller wants the replay on its own thread
-  // (the concurrent service path); the serial kernel also owns no per-call
-  // containers, keeping that path allocation-free.
-  const bool serial = pool != nullptr && pool->thread_count() == 1;
   // Caller-owned values leave result.c empty — the pattern is shared via
   // the plan. The dense-row program ops accumulate, so the buffer starts
   // from zero either way.
   std::vector<value_t> values(external != nullptr ? 0 : c_nnz, 0.0);
   const std::span<value_t> out = external != nullptr ? *external : values;
   if (external != nullptr) std::fill(out.begin(), out.end(), value_t{0});
-  const std::size_t replay_allocs =
-      serial ? replay_numeric_values_serial(a, b, plan.program, out, simd)
-             : replay_numeric_values(a, b, plan.program, pool, out, simd);
+  // A 1-thread pool (the concurrent service path) replays on this thread
+  // without allocating.
+  const std::size_t replay_allocs = replay_numeric_values(
+      a, b, plan.program, pool, out, simd::resolve_backend(config_.simd_backend));
   if (external == nullptr) {
     result.c = Csr(plan.fingerprint.a_rows, plan.fingerprint.b_cols,
                    plan.c_row_offsets, plan.c_col_indices, std::move(values));

@@ -88,20 +88,25 @@ class KernelWorkspace {
   /// replay program (build_replay_program).
   std::vector<std::uint8_t>& replay_seen() { return replay_seen_; }
 
-  /// Column -> local C-row slot scatter map for the same build (sized to
-  /// B's column count, deliberately never cleared between rows).
-  std::vector<std::uint32_t>& replay_colmap() { return replay_colmap_; }
+  /// Column -> local C-row slot scatter map of the estimated merge pass
+  /// and the replay-program build, grown to at least `columns` entries (B's
+  /// column count). It only grows and is never cleared: each user tells a
+  /// live entry from a stale one on its own (an epoch tag, a pattern
+  /// recheck), so they can share it.
+  std::vector<std::uint32_t>& colmap(std::size_t columns) {
+    if (colmap_.size() < columns) colmap_.resize(columns);
+    return colmap_;
+  }
 
   /// Output-value staging buffer for service clients replaying a plan into
   /// borrowed storage (SpeckService::multiply_into). Grows monotonically
   /// like every other member, so steady-state replays stay allocation-free.
   std::vector<value_t>& replay_values() { return replay_values_; }
 
-  /// Estimated numeric merge pass: column -> local slot scatter map plus the
-  /// epoch tag array that makes it O(1)-resettable per row (a slot is live
-  /// only when its epoch matches the current row's counter). Sized to B's
-  /// column count by the caller; never cleared between rows.
-  std::vector<std::uint32_t>& estimate_colmap() { return estimate_colmap_; }
+  /// Estimated numeric merge pass: the epoch tag array that makes colmap()
+  /// O(1)-resettable per row (an entry is live only when its epoch matches
+  /// the current row's counter). Sized to B's column count by the caller;
+  /// never cleared between rows.
   std::vector<std::uint32_t>& estimate_epoch() { return estimate_epoch_; }
 
   /// Current row counter for estimate_epoch(); the caller increments it per
@@ -122,9 +127,8 @@ class KernelWorkspace {
   std::vector<index_t> referenced_;
   DenseScratch dense_;
   std::vector<std::uint8_t> replay_seen_;
-  std::vector<std::uint32_t> replay_colmap_;
+  std::vector<std::uint32_t> colmap_;
   std::vector<value_t> replay_values_;
-  std::vector<std::uint32_t> estimate_colmap_;
   std::vector<std::uint32_t> estimate_epoch_;
   std::uint32_t estimate_epoch_counter_ = 0;
 };

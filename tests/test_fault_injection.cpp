@@ -7,6 +7,7 @@
 // under deliberately hostile estimates.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -255,6 +256,62 @@ TEST(FaultMatrix, OomExitsPerPipelineMode) {
             (std::set<std::string>{
                 input, "row analysis buffers exceed device memory",
                 "masked output staging exceeds device memory"}));
+}
+
+/// One run of `a`·`a` (masked by `mask` when non-null) under a device-memory
+/// budget (0 = none), with planning pinned and the plan cache off.
+SpGemmResult run_with_budget(PlanningMode planning, const Csr& a,
+                             const Csr* mask, std::size_t budget) {
+  SpeckConfig config;
+  config.planning = planning;
+  config.plan_cache = false;
+  config.faults.memory_budget_bytes = budget;
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, config);
+  return mask != nullptr ? speck.multiply_masked(a, a, *mask)
+                         : speck.multiply(a, a);
+}
+
+bool same_bytes(const Csr& x, const Csr& y) {
+  const auto same = [](auto p, auto q) {
+    return p.size() == q.size() &&
+           std::memcmp(p.data(), q.data(), p.size_bytes()) == 0;
+  };
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         same(x.row_offsets(), y.row_offsets()) &&
+         same(x.col_indices(), y.col_indices()) && same(x.values(), y.values());
+}
+
+// The OOM exit at its boundary, per mode: a budget of exactly the peak the
+// unbudgeted run reports fits (and changes no output byte), one byte less
+// fails at the last allocation, the exact output matrix. The x0.97 sweep
+// above steps over this boundary; in masked mode it never reaches the
+// output exit at all.
+TEST(FaultMatrix, OomBoundaryPerPipelineMode) {
+  const Csr a = gen::power_law(2000, 2000, 6, 1.8, 100, 2);
+  const Csr mask = gen::random_uniform(2000, 2000, 9, 3);
+  const struct {
+    const char* name;
+    PlanningMode planning;
+    const Csr* mask;
+  } modes[] = {{"exact", PlanningMode::kExact, nullptr},
+               {"estimated", PlanningMode::kEstimated, nullptr},
+               {"masked", PlanningMode::kExact, &mask}};
+  for (const auto& mode : modes) {
+    const SpGemmResult full = run_with_budget(mode.planning, a, mode.mask, 0);
+    ASSERT_TRUE(full.ok()) << mode.name << ": " << full.failure_reason;
+    const std::size_t peak = full.peak_memory_bytes;
+
+    const SpGemmResult fits = run_with_budget(mode.planning, a, mode.mask, peak);
+    ASSERT_TRUE(fits.ok()) << mode.name << ": " << fits.failure_reason;
+    EXPECT_EQ(fits.peak_memory_bytes, peak) << mode.name;
+    EXPECT_TRUE(same_bytes(fits.c, full.c)) << mode.name;
+
+    const SpGemmResult over =
+        run_with_budget(mode.planning, a, mode.mask, peak - 1);
+    EXPECT_EQ(over.status, SpGemmStatus::kOutOfMemory) << mode.name;
+    EXPECT_EQ(over.failure_reason, "output matrix exceeds device memory")
+        << mode.name;
+  }
 }
 
 TEST(FaultInjector, EstimateScalingIsDeterministic) {
