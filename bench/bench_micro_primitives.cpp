@@ -49,6 +49,41 @@ void BM_HashMapAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_HashMapAccumulate)->Arg(1 << 10);
 
+/// 1M-nnz banded pattern for the two plan-cache hit-path primitives.
+const Csr& hit_path_pattern() {
+  static const Csr m = gen::banded(100000, 40, 10, 5);
+  return m;
+}
+
+std::int64_t pattern_bytes(const Csr& m) {
+  return static_cast<std::int64_t>(m.row_offsets().size_bytes() +
+                                   m.col_indices().size_bytes());
+}
+
+void BM_PatternHash(benchmark::State& state) {
+  const Csr& m = hit_path_pattern();
+  for (auto _ : state) benchmark::DoNotOptimize(csr_pattern_hash(m));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          pattern_bytes(m));
+}
+BENCHMARK(BM_PatternHash);
+
+void BM_CsrFromPattern(benchmark::State& state) {
+  const Csr& m = hit_path_pattern();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<value_t> values(static_cast<std::size_t>(m.nnz()));
+    state.ResumeTiming();
+    const Csr c(m.rows(), m.cols(), m.row_offsets(), m.col_indices(),
+                std::move(values));
+    benchmark::DoNotOptimize(c.col_indices().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          pattern_bytes(m));
+}
+BENCHMARK(BM_CsrFromPattern);
+
 void BM_RadixSortPairs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Xoshiro256 rng(3);

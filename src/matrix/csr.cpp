@@ -1,12 +1,56 @@
 #include "matrix/csr.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 
 #include "common/checked_math.h"
 
 namespace speck {
+
+namespace {
+
+/// True if some offset is smaller than its predecessor. An OR-reduction,
+/// not a branch per element.
+bool any_decreasing(std::span<const offset_t> offsets) {
+  std::uint32_t bad = 0;
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    bad |= static_cast<std::uint32_t>(offsets[i] < offsets[i - 1]);
+  }
+  return bad != 0;
+}
+
+/// True if some column lies outside [0, cols). A branch-free OR-reduction
+/// (it vectorizes); one unsigned compare covers both bounds.
+bool any_out_of_range(std::span<const index_t> col_indices, index_t cols) {
+  std::uint32_t bad = 0;
+  for (const index_t c : col_indices) {
+    bad |= static_cast<std::uint32_t>(static_cast<std::uint32_t>(c) >=
+                                      static_cast<std::uint32_t>(cols));
+  }
+  return bad != 0;
+}
+
+/// Appends `src` to `dst` in L1-sized chunks and runs `any_bad` on each
+/// chunk (plus the element before it) while it is still in cache, so the
+/// copy and the check share one pass over memory. True if any check failed.
+template <typename T, typename AnyBad>
+bool copy_checked(std::vector<T>& dst, std::span<const T> src, AnyBad&& any_bad) {
+  constexpr std::size_t kChunk = 16384 / sizeof(T);
+  dst.reserve(src.size());
+  bool bad = false;
+  for (std::size_t i = 0; i < src.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, src.size() - i);
+    dst.insert(dst.end(), src.begin() + static_cast<std::ptrdiff_t>(i),
+               src.begin() + static_cast<std::ptrdiff_t>(i + n));
+    const std::size_t from = i > 0 ? i - 1 : 0;
+    bad |= any_bad(src.subspan(from, i + n - from));
+  }
+  return bad;
+}
+
+}  // namespace
 
 Csr::Csr(index_t rows, index_t cols, std::vector<offset_t> row_offsets,
          std::vector<index_t> col_indices, std::vector<value_t> values)
@@ -16,6 +60,22 @@ Csr::Csr(index_t rows, index_t cols, std::vector<offset_t> row_offsets,
       col_indices_(std::move(col_indices)),
       values_(std::move(values)) {
   validate();
+}
+
+Csr::Csr(index_t rows, index_t cols, std::span<const offset_t> row_offsets,
+         std::span<const index_t> col_indices, std::vector<value_t> values)
+    : rows_(rows), cols_(cols), values_(std::move(values)) {
+  bool bad = copy_checked(row_offsets_, row_offsets, any_decreasing);
+  bad |= copy_checked(col_indices_, col_indices,
+                      [cols](std::span<const index_t> chunk) {
+                        return any_out_of_range(chunk, cols);
+                      });
+  bad |= rows < 0 || cols < 0 ||
+         row_offsets.size() != static_cast<std::size_t>(rows) + 1 ||
+         col_indices.size() != values_.size() || row_offsets.front() != 0 ||
+         row_offsets.back() != static_cast<offset_t>(col_indices.size());
+  // validate() reports the first violated invariant in its fixed order.
+  if (bad) validate();
 }
 
 void Csr::validate() const {
@@ -29,13 +89,8 @@ void Csr::validate() const {
   SPECK_REQUIRE(row_offsets_.back() ==
                     checked_cast<offset_t>(col_indices_.size()),
                 "row_offsets must end at nnz");
-  for (std::size_t r = 0; r < row_offsets_.size() - 1; ++r) {
-    SPECK_REQUIRE(row_offsets_[r] <= row_offsets_[r + 1],
-                  "row_offsets must be non-decreasing");
-  }
-  for (const index_t c : col_indices_) {
-    SPECK_REQUIRE(c >= 0 && c < cols_, "column index out of range");
-  }
+  SPECK_REQUIRE(!any_decreasing(row_offsets_), "row_offsets must be non-decreasing");
+  SPECK_REQUIRE(!any_out_of_range(col_indices_, cols_), "column index out of range");
 }
 
 Csr Csr::zeros(index_t rows, index_t cols) {

@@ -26,6 +26,13 @@ class Csr {
   Csr(index_t rows, index_t cols, std::vector<offset_t> row_offsets,
       std::vector<index_t> col_indices, std::vector<value_t> values);
 
+  /// Copies a pattern from spans (e.g. a cached plan's C pattern) and takes
+  /// `values`. Checks the same invariants as the vector constructor, folded
+  /// into the copy as branch-free reductions; on a violation it throws the
+  /// same BadInput message.
+  Csr(index_t rows, index_t cols, std::span<const offset_t> row_offsets,
+      std::span<const index_t> col_indices, std::vector<value_t> values);
+
   /// Empty matrix of the given shape (no non-zeros).
   static Csr zeros(index_t rows, index_t cols);
 

@@ -39,7 +39,9 @@ void SymbolicHashAccumulator::row_counts_into(int rows, bool wide_keys,
     ++counts[static_cast<std::size_t>(local_row)];
   };
   local_.for_each(count_key);
-  global_.for_each(count_key);
+  // clear() keeps the spill map's grown storage, so walking it costs
+  // O(slots) even when this block never spilled.
+  if (in_global_) global_.for_each(count_key);
 }
 
 std::vector<index_t> SymbolicHashAccumulator::row_counts(int rows,
@@ -89,6 +91,7 @@ void NumericHashAccumulator::extract_into(
     std::vector<DeviceHashMap::Entry>& out) const {
   out.clear();
   local_.extract_into(out);
+  if (!in_global_) return;
   global_.for_each([&](key64_t key, value_t value) {
     out.push_back(DeviceHashMap::Entry{key, value});
   });

@@ -37,7 +37,7 @@ struct PlanFingerprint {
   /// features, fill/density knobs, fault spec — not host_threads,
   /// validate_inputs or the plan-cache switches).
   std::uint64_t config_hash = 0;
-  /// splitmix64 chain over row_offsets + col_indices; 0 when not computed.
+  /// csr_pattern_hash of each input; 0 when not computed.
   std::uint64_t a_pattern_hash = 0;
   std::uint64_t b_pattern_hash = 0;
 
@@ -70,12 +70,15 @@ struct PlanFingerprint {
 /// Hash of the planning-relevant SpeckConfig fields (see PlanFingerprint).
 std::uint64_t planning_config_hash(const SpeckConfig& cfg);
 
-/// splitmix64 chain over a matrix's row_offsets and col_indices (values are
+/// 64-bit hash of a matrix's shape, row_offsets and col_indices (values are
 /// deliberately excluded — the whole point is that only structure matters).
+/// Each array is hashed in four lanes of 16-byte multiply-mix steps, so
+/// hashing runs at memory speed.
 std::uint64_t csr_pattern_hash(const Csr& m);
 
 /// Fingerprint of (a, b) under `cfg`. `with_pattern_hashes` = false skips
 /// the O(nnz) hashing and leaves the hash fields 0 (use with matches_quick).
+/// An operand passed twice (by address) is hashed once.
 PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b,
                                  const SpeckConfig& cfg,
                                  bool with_pattern_hashes = true);

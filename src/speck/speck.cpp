@@ -674,7 +674,8 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
       a, b, plan.program, pool, out, simd::resolve_backend(config_.simd_backend));
   if (external == nullptr) {
     result.c = Csr(plan.fingerprint.a_rows, plan.fingerprint.b_cols,
-                   plan.c_row_offsets, plan.c_col_indices, std::move(values));
+                   std::span<const offset_t>(plan.c_row_offsets),
+                   std::span<const index_t>(plan.c_col_indices), std::move(values));
   }
   if (diag != nullptr) diag->numeric.hot_path_allocs = replay_allocs;
 

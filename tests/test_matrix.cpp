@@ -2,7 +2,12 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/generators.h"
 #include "matrix/coo.h"
@@ -10,6 +15,8 @@
 #include "matrix/io_mtx.h"
 #include "matrix/matrix_stats.h"
 #include "matrix/ops.h"
+#include "ref/gustavson.h"
+#include "speck/speck.h"
 
 namespace speck {
 namespace {
@@ -62,6 +69,96 @@ TEST(Csr, ValidationRejectsBadOffsets) {
   EXPECT_THROW(Csr(2, 2, {0, 2, 1}, {0, 1}, {1.0, 1.0}), InvalidArgument);  // decreasing
   EXPECT_THROW(Csr(2, 2, {0, 1, 2}, {0, 5}, {1.0, 1.0}), InvalidArgument);  // col range
   EXPECT_THROW(Csr(2, 2, {1, 1, 2}, {0, 1}, {1.0, 1.0}), InvalidArgument);  // start != 0
+}
+
+/// The BadInput message `make` throws, or "" when it does not throw.
+template <typename Make>
+std::string bad_input_message(Make&& make) {
+  try {
+    make();
+  } catch (const BadInput& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csr, SpanCopyRejectsWhatVectorConstructorRejects) {
+  struct Case {
+    const char* name;
+    index_t rows, cols;
+    std::vector<offset_t> offsets;
+    std::vector<index_t> col_indices;
+    std::vector<value_t> values;
+  };
+  std::vector<Case> cases = {
+      {"decreasing offsets", 2, 2, {0, 2, 1}, {0, 1}, {1.0, 1.0}},
+      {"column >= cols", 2, 2, {0, 1, 2}, {0, 2}, {1.0, 1.0}},
+      {"negative column", 2, 2, {0, 1, 2}, {-1, 0}, {1.0, 1.0}},
+      {"offsets size != rows+1", 2, 2, {0, 1}, {0}, {1.0}},
+      {"back != nnz", 2, 2, {0, 1, 1}, {0, 1}, {1.0, 1.0}},
+      {"values size mismatch", 2, 2, {0, 1, 2}, {0, 1}, {1.0}},
+      {"start != 0", 2, 2, {1, 1, 2}, {0, 1}, {1.0, 1.0}},
+      {"negative rows", -1, 2, {0}, {}, {}},
+      {"negative cols", 1, -2, {0, 0}, {}, {}},
+  };
+  // The checked copy works in chunks: put a single violation at and next to
+  // every power-of-two position, so it also lands on each chunk boundary.
+  constexpr index_t kRows = 9000;
+  std::vector<offset_t> identity(kRows + 1);
+  std::iota(identity.begin(), identity.end(), offset_t{0});
+  for (std::size_t p = 1; p < identity.size(); p *= 2) {
+    for (const std::size_t at : {p - 1, p, p + 1}) {
+      if (at < 2 || at >= identity.size()) continue;
+      Case c{"decreasing offset near a power of two", kRows, 4, identity,
+             std::vector<index_t>(kRows, 0), std::vector<value_t>(kRows, 1.0)};
+      c.offsets[at] = c.offsets[at - 1] - 1;
+      cases.push_back(std::move(c));
+      Case wide{"column >= cols near a power of two", kRows, 4, identity,
+                std::vector<index_t>(kRows, 3), std::vector<value_t>(kRows, 1.0)};
+      wide.col_indices[at] = 4;
+      cases.push_back(std::move(wide));
+    }
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string expected = bad_input_message(
+        [&] { Csr(c.rows, c.cols, c.offsets, c.col_indices, c.values); });
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(bad_input_message([&] {
+                Csr(c.rows, c.cols, std::span<const offset_t>(c.offsets),
+                    std::span<const index_t>(c.col_indices), c.values);
+              }),
+              expected);
+  }
+}
+
+TEST(Csr, SpanCopyEqualsSource) {
+  const Csr m = gen::power_law(3000, 3000, 6, 1.8, 200, 41);
+  std::vector<value_t> values(m.values().begin(), m.values().end());
+  const Csr copy(m.rows(), m.cols(), m.row_offsets(), m.col_indices(),
+                 std::move(values));
+  EXPECT_TRUE(std::ranges::equal(copy.row_offsets(), m.row_offsets()));
+  EXPECT_TRUE(std::ranges::equal(copy.col_indices(), m.col_indices()));
+  EXPECT_TRUE(std::ranges::equal(copy.values(), m.values()));
+  EXPECT_EQ(copy.shape_string(), m.shape_string());
+}
+
+TEST(Csr, CacheHitResultDoesNotAliasThePlan) {
+  // C from a plan-cache hit is copied from the cached pattern: scribbling
+  // on one hit's columns must leave the next hit intact.
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::banded(400, 8, 5, 43);
+  const Csr expected = gustavson_spgemm(a, a);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(sp.multiply(a, a).ok());
+  SpGemmResult hit = sp.multiply(a, a);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(sp.last_diagnostics().plan_cache_hit);
+  for (index_t& c : hit.c.col_indices_mutable()) c = a.cols() - 1 - c;
+  const SpGemmResult next = sp.multiply(a, a);
+  ASSERT_TRUE(next.ok());
+  EXPECT_TRUE(sp.last_diagnostics().plan_cache_hit);
+  const auto diff = compare(next.c, expected, 0.0);
+  EXPECT_FALSE(diff.has_value()) << diff->description;
 }
 
 TEST(Csr, SortRowsAndSortedCheck) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -326,6 +328,88 @@ TEST(TransparentPlanCache, StructureOverBudgetIsNeverPlanned) {
   EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.rejected_inserts, 0u);
   EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(PlanFingerprint, OperandPassedTwiceMatchesDistinctCopy) {
+  // A * A hashes its operand once; the key must equal the one built from
+  // a separate copy, or iterate-style callers would never hit.
+  const SpeckConfig cfg;
+  const Csr a = gen::power_law(500, 500, 6, 1.8, 80, 911);
+  const Csr copy = a;
+  const PlanFingerprint same = plan_fingerprint(a, a, cfg);
+  const PlanFingerprint distinct = plan_fingerprint(a, copy, cfg);
+  EXPECT_TRUE(same.matches_full(distinct));
+  EXPECT_EQ(same.a_pattern_hash, distinct.b_pattern_hash);
+  EXPECT_EQ(same.b_pattern_hash, csr_pattern_hash(a));
+}
+
+TEST(PlanFingerprint, MaskedSelfProductMatchesDistinctCopies) {
+  // The (l, l, l) triangle-count key reuses one hash for all three sides;
+  // it must equal the key from three distinct copies, and a mask that is
+  // only B must reuse B's hash.
+  const SpeckConfig cfg;
+  const Csr l = gen::power_law(400, 400, 5, 1.8, 60, 913);
+  const Csr l2 = l;
+  const Csr l3 = l;
+  const Csr other = gen::banded(400, 6, 4, 915);
+  const PlanFingerprint self = plan_fingerprint(l, l, &l, cfg);
+  const PlanFingerprint copies = plan_fingerprint(l, l2, &l3, cfg);
+  EXPECT_TRUE(self.masked);
+  EXPECT_TRUE(self.matches_full(copies));
+  EXPECT_EQ(self.mask_pattern_hash, copies.mask_pattern_hash);
+  EXPECT_TRUE(plan_fingerprint(other, l, &l, cfg)
+                  .matches_full(plan_fingerprint(other, l2, &l3, cfg)));
+  EXPECT_FALSE(plan_fingerprint(other, l, &l, cfg)
+                   .matches_full(plan_fingerprint(other, l, &other, cfg)));
+}
+
+/// A pattern with `nnz` entries over 1 + nnz / 3 rows; row lengths and
+/// columns drawn from `seed`.
+Csr sweep_pattern(int nnz, std::uint64_t seed) {
+  const int rows = 1 + nnz / 3;
+  constexpr index_t kCols = 64;
+  std::vector<offset_t> offsets(static_cast<std::size_t>(rows) + 1, 0);
+  std::uint64_t state = seed;
+  for (int e = 0; e < nnz; ++e) {
+    ++offsets[1 + splitmix64(state) % static_cast<std::uint64_t>(rows)];
+  }
+  for (std::size_t r = 1; r < offsets.size(); ++r) offsets[r] += offsets[r - 1];
+  std::vector<index_t> cols(static_cast<std::size_t>(nnz));
+  for (index_t& c : cols) c = static_cast<index_t>(splitmix64(state) % kCols);
+  return Csr(rows, kCols, std::move(offsets), std::move(cols),
+             std::vector<value_t>(static_cast<std::size_t>(nnz), 1.0));
+}
+
+TEST(CsrPatternHash, EverySingleChangeMovesTheHash) {
+  // nnz 0..130 puts every tail length of the 64-byte step under both
+  // arrays (4-byte columns, 8-byte offsets over 1..44 rows).
+  for (int nnz = 0; nnz <= 130; ++nnz) {
+    SCOPED_TRACE("nnz=" + std::to_string(nnz));
+    const Csr base = sweep_pattern(nnz, 917 + static_cast<std::uint64_t>(nnz));
+    const std::uint64_t h = csr_pattern_hash(base);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(nnz); ++i) {
+      Csr changed = base;
+      index_t& c = changed.col_indices_mutable()[i];
+      c = (c + 1) % base.cols();
+      EXPECT_NE(csr_pattern_hash(changed), h) << "column " << i;
+    }
+    // Every valid value of each interior offset (the end offsets are pinned
+    // by validity). A change by one moves one entry to the adjacent row.
+    const std::span<const offset_t> offsets = base.row_offsets();
+    const std::vector<index_t> cols(base.col_indices().begin(),
+                                    base.col_indices().end());
+    const std::vector<value_t> vals(base.values().begin(), base.values().end());
+    for (std::size_t r = 1; r + 1 < offsets.size(); ++r) {
+      for (offset_t moved = offsets[r - 1]; moved <= offsets[r + 1]; ++moved) {
+        if (moved == offsets[r]) continue;
+        std::vector<offset_t> o(offsets.begin(), offsets.end());
+        o[r] = moved;
+        const Csr changed(base.rows(), base.cols(), std::move(o), cols, vals);
+        EXPECT_NE(csr_pattern_hash(changed), h)
+            << "offset " << r << " set to " << moved;
+      }
+    }
+  }
 }
 
 }  // namespace
