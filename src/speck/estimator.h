@@ -64,10 +64,10 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
 /// launch. Accumulation order per output column is ascending-A-column —
 /// identical to the exact kernels and the values-only replay — and the
 /// accumulator semantics per row mirror run_numeric's method selection
-/// (evaluated on the *estimates*, exactly as build_replay_program will
-/// re-derive it), so C is bit-identical to exact-mode planning at any
-/// thread count. The outcome's row_nnz holds the exact NNZ of every row of
-/// C (what the symbolic pass would have reported; stored in
+/// (evaluated on the *estimates*, exactly as plan capture re-derives it for
+/// the replay start bits), so C is bit-identical to exact-mode planning at
+/// any thread count. The outcome's row_nnz holds the exact NNZ of every row
+/// of C (what the symbolic pass would have reported; stored in
 /// SpeckPlan::row_nnz), and stats.estimate_underflow_rows counts the
 /// fallback re-runs.
 NumericOutcome run_numeric_estimated(const KernelContext& ctx, const BinPlan& plan,

@@ -8,7 +8,6 @@
 
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
-#include "common/uninit.h"
 #include "matrix/csr.h"
 #include "sim/launch.h"
 #include "sim/trace.h"
@@ -191,66 +190,57 @@ struct NumericOutcome {
 NumericOutcome run_numeric(const KernelContext& ctx, const BinPlan& plan,
                            std::span<const index_t> row_nnz);
 
-/// Values-only replay program: one entry per intermediate product, grouped
-/// by row of C and ordered exactly like the numeric kernels accumulate
-/// (rows of A outer, referenced rows of B inner).
+/// What a values-only replay needs beyond the frozen C pattern: one start
+/// bit per row of C and the product count. The replay walks A's and B's CSR
+/// structure in the order the numeric kernels accumulate (rows of A outer,
+/// referenced rows of B inner) and finds each product's slot through a
+/// column map scattered from the row's C columns — Gustavson with a known
+/// output pattern, so no per-product state is stored.
 ///
-/// Only the *destination* of each product is stored: the (a, b) value
-/// positions are re-derived at replay time by walking A's and B's CSR
-/// structure in the same order — the fingerprint pins both patterns, so the
-/// walk reproduces the build-time enumeration exactly, and the B-value reads
-/// become sequential per segment instead of gathered. Each dest word packs
-/// the C value slot in the low 31 bits and the assign-first flag in the top
-/// bit. The flag mirrors the accumulator semantics of the row's method —
-/// hash and direct rows *assign* their first contribution to a slot, dense
-/// rows add into a zero-initialized window — which is what keeps replayed
-/// values bit-identical to a full numeric pass. Built once per plan by
-/// build_replay_program (plan.h).
+/// The start bit reproduces each row's first-touch semantics: hash and
+/// direct rows *assign* their first contribution to a slot, dense rows and
+/// every masked row add into a zero-initialized window. A replay starts
+/// assign-first rows from -0.0, IEEE's exact additive identity
+/// (-0.0 + p == p bit for bit, signed zeros included), and the others from
+/// +0.0, then always adds — which keeps replayed values bit-identical to a
+/// full numeric pass.
 struct NumericReplayProgram {
-  /// Top bit of a dest word: store the product instead of adding it.
-  static constexpr std::uint32_t kAssignFirst = 0x8000'0000u;
-  /// Masked programs only: sentinel dest word for a product whose B column
-  /// is not in the frozen masked C pattern — the replay drops it. Never a
-  /// valid slot|kAssignFirst encoding (slots are < 2^31 - 1, see
-  /// kMaxReplayIndex in speck.cpp).
-  static constexpr std::uint32_t kSkip = 0xFFFF'FFFFu;
-  /// True for programs built from a masked plan: dest words may be kSkip
-  /// and never carry kAssignFirst (masked accumulation adds into the
-  /// zero-filled output buffer, mirroring the masked kernels' 0.0 + p
-  /// first-touch convention). Selects the skip-aware replay inner loop.
+  /// True for programs captured from a masked plan: products whose column
+  /// is missing from the row's frozen C pattern are dropped.
   bool masked = false;
-  /// rows+1 prefix: ops of C row r live in [row_op_start[r], row_op_start[r+1]).
-  std::vector<offset_t> row_op_start;
-  // The dest array is the dominant capture cost (4 bytes per intermediate
-  // product) and every element is written by build_replay_program before any
-  // read, so resize() skips the zero fill (common/uninit.h).
-  UninitVector<std::uint32_t> dest;  ///< output slot | kAssignFirst
+  /// Per row of C: 1 when the row's method assigns its first product (the
+  /// replay starts its slots from -0.0), 0 when it adds into zeros.
+  std::vector<std::uint8_t> assign_first;
+  /// Intermediate products of A * B (off-mask ones included).
+  std::size_t products = 0;
 
-  std::size_t ops() const { return dest.size(); }
+  std::size_t ops() const { return products; }
   /// Allocated (capacity-based) host footprint — what the plan cache's byte
   /// budget is charged for.
-  std::size_t byte_size() const {
-    return row_op_start.capacity() * sizeof(offset_t) +
-           dest.capacity() * sizeof(std::uint32_t);
-  }
+  std::size_t byte_size() const { return assign_first.capacity(); }
 };
 
-/// Replays the program against fresh values of (a, b), writing straight into
-/// `out` (sized c_nnz, zero-initialized by the caller). Pattern-independent
-/// work only: no analysis, no hashing, no sorting. Parallelized over `pool`
-/// with fixed chunking, so results are bit-identical at any thread count. A
-/// 1-thread pool runs every row inline on the calling thread with no heap
-/// traffic of its own — the service replay path, where many client threads
-/// each replay their own request and intra-request parallelism would only
-/// add contention. Returns the heap allocations observed inside the replay
+/// Replays the program against fresh values of (a, b), writing every slot
+/// of `out` (sized to the frozen C pattern's nnz) — no prior zero fill is
+/// needed. With `append` set, `out` is unused and the values are appended
+/// to `*append` instead (empty, with capacity for the C pattern's nnz): on
+/// a 1-thread pool row by row, so each value is written once and never
+/// zero-filled first. Pattern-independent work only: no analysis, no
+/// hashing, no sorting. Parallelized over `pool` with fixed chunking, so results are
+/// bit-identical at any thread count. A 1-thread pool runs every row inline
+/// on the calling thread — the service replay path, where many client
+/// threads each replay their own request and intra-request parallelism
+/// would only add contention. Each thread keeps one grow-only column map;
+/// it grows, at most once per thread and B width, before the allocation
+/// count starts. Returns the heap allocations observed inside the replay
 /// loop (the zero-allocation hot-path metric; always 0 — the loop owns no
-/// containers). `simd` enables software prefetch of upcoming gather targets
-/// on the vector backends; the arithmetic and its order are
-/// backend-independent.
+/// containers).
 std::size_t replay_numeric_values(const Csr& a, const Csr& b,
                                   const NumericReplayProgram& program,
+                                  std::span<const offset_t> c_row_offsets,
+                                  std::span<const index_t> c_col_indices,
                                   ThreadPool* pool, std::span<value_t> out,
-                                  SimdBackend simd = SimdBackend::kScalar);
+                                  std::vector<value_t>* append = nullptr);
 
 /// Method selection, exposed for tests.
 RowMethod choose_symbolic_method(const KernelContext& ctx, index_t row,

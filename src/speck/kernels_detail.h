@@ -26,8 +26,8 @@ namespace speck::detail {
 constexpr std::size_t kBlockChunk = 4;
 
 /// Rows per parallel chunk of the row-parallel loops (row analysis and
-/// estimation, staged compaction, replay-program build, replay). Fixed for
-/// the same reason as kBlockChunk.
+/// estimation, staged compaction, replay). Fixed for the same reason as
+/// kBlockChunk.
 constexpr std::size_t kRowChunk = 256;
 
 /// Merges the per-block counters of `from` into the pass totals. Seconds
@@ -266,7 +266,7 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
 /// selection from `row_sizes` (the per-row sizes numeric binning ran off):
 /// a block is all-direct only when every row qualifies; otherwise
 /// single-row blocks may go dense and everything else hashes. The staged
-/// passes and the replay-program build must all agree on this — the method
+/// passes and the replay start bits must all agree on this — the method
 /// decides a row's traversal and, unmasked, its assign/accumulate semantics.
 inline std::vector<RowMethod> row_methods(const KernelContext& ctx, const BinPlan& plan,
                                           std::span<const index_t> row_sizes) {

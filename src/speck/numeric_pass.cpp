@@ -341,61 +341,64 @@ NumericOutcome run_numeric(const KernelContext& ctx, const BinPlan& plan,
 
 namespace {
 
-/// Replay inner loop for rows [begin, end): walks A's and B's CSR structure
-/// in build order — C row outer, A entry next, referenced B row inner — so
-/// the program never stores value positions, only the packed dest word per
-/// product. The (a, b) value reads are sequential per segment; the only
-/// scatter is the dest slot, which the vector backends prefetch ahead.
-/// Prefetch is a pure hint — the arithmetic and its order are identical on
-/// every backend. Unmasked programs assign or add per the kAssignFirst bit;
-/// masked ones drop kSkip products and add the rest into the zero-filled
-/// `out` (the masked kernels' 0.0 + p first-touch convention). One
-/// instantiation each keeps the unmasked loop branch-free.
-template <bool kMasked>
+/// Column-map entry of a column outside the current row's C pattern.
+constexpr index_t kNoSlot = -1;
+
+/// This thread's column -> local C-row slot map, grown to at least
+/// `columns` entries. Every entry is kNoSlot between rows: new entries are
+/// filled on growth and replay_rows resets each row's entries after it, so
+/// pool workers and service client threads share no state.
+std::vector<index_t>& replay_colmap(std::size_t columns) {
+  thread_local std::vector<index_t> colmap;
+  if (colmap.size() < columns) colmap.resize(columns, kNoSlot);
+  return colmap;
+}
+
+/// Replay inner loop for rows [begin, end): sets each C row's slots to its
+/// start value (appending them to `append` when set, else in `out`),
+/// scatters the row's columns into `colmap`, walks A's and B's CSR
+/// structure in accumulation order — A entry outer, referenced B row inner
+/// — adding every product whose column maps to a slot, and resets the row's
+/// map entries. Unmasked patterns hold every product column; masked ones
+/// drop the products that map to kNoSlot.
 void replay_rows(const Csr& a, const Csr& b, const NumericReplayProgram& program,
-                 std::size_t begin, std::size_t end, std::span<value_t> out,
-                 SimdBackend simd) {
-  constexpr std::uint32_t kAssign = NumericReplayProgram::kAssignFirst;
-  constexpr std::uint32_t kSkip = NumericReplayProgram::kSkip;
+                 std::span<const offset_t> c_row_offsets,
+                 std::span<const index_t> c_col_indices, std::size_t begin,
+                 std::size_t end, std::vector<index_t>& colmap,
+                 std::span<value_t> out, std::vector<value_t>* append) {
   const value_t* a_vals = a.values().data();
   const value_t* b_vals = b.values().data();
-  const std::uint32_t* dest = program.dest.data();
   const std::span<const offset_t> a_offsets = a.row_offsets();
   const std::span<const offset_t> b_offsets = b.row_offsets();
   const index_t* a_cols = a.col_indices().data();
-  constexpr std::size_t kPrefetchDistance = 16;
-  const bool prefetch_slots = simd != SimdBackend::kScalar;
-  const auto op_limit = static_cast<std::size_t>(program.row_op_start[end]);
-  auto op = static_cast<std::size_t>(program.row_op_start[begin]);
+  const index_t* b_cols = b.col_indices().data();
+  index_t* slot_of = colmap.data();
   for (std::size_t r = begin; r < end; ++r) {
-    const auto row_begin = static_cast<std::size_t>(a_offsets[r]);
+    const auto c_begin = static_cast<std::size_t>(c_row_offsets[r]);
+    const auto c_len = static_cast<std::size_t>(c_row_offsets[r + 1]) - c_begin;
+    const index_t* c_cols = c_col_indices.data() + c_begin;
+    const value_t start = program.assign_first[r] != 0 ? -0.0 : 0.0;
+    value_t* row_out;
+    if (append != nullptr) {
+      append->insert(append->end(), c_len, start);
+      row_out = append->data() + c_begin;
+    } else {
+      row_out = out.data() + c_begin;
+      std::fill_n(row_out, c_len, start);
+    }
+    for (std::size_t l = 0; l < c_len; ++l) slot_of[c_cols[l]] = static_cast<index_t>(l);
     const auto row_end = static_cast<std::size_t>(a_offsets[r + 1]);
-    for (std::size_t i = row_begin; i < row_end; ++i) {
+    for (auto i = static_cast<std::size_t>(a_offsets[r]); i < row_end; ++i) {
       const value_t av = a_vals[i];
       const auto k = static_cast<std::size_t>(a_cols[i]);
       const auto seg_end = static_cast<std::size_t>(b_offsets[k + 1]);
-      for (auto bp = static_cast<std::size_t>(b_offsets[k]); bp < seg_end;
-           ++bp, ++op) {
-        if constexpr (kMasked) {
-          if (prefetch_slots && op + kPrefetchDistance < op_limit &&
-              dest[op + kPrefetchDistance] != kSkip) {
-            simd::prefetch(out.data() + dest[op + kPrefetchDistance]);
-          }
-          const std::uint32_t d = dest[op];
-          if (d == kSkip) continue;
-          out[d] += av * b_vals[bp];
-        } else {
-          if (prefetch_slots && op + kPrefetchDistance < op_limit) {
-            simd::prefetch(out.data() +
-                           (dest[op + kPrefetchDistance] & ~kAssign));
-          }
-          const value_t product = av * b_vals[bp];
-          const std::uint32_t d = dest[op];
-          value_t& slot = out[d & ~kAssign];
-          slot = (d & kAssign) != 0 ? product : slot + product;
-        }
+      for (auto bp = static_cast<std::size_t>(b_offsets[k]); bp < seg_end; ++bp) {
+        const index_t local = slot_of[b_cols[bp]];
+        if (local == kNoSlot) continue;
+        row_out[local] += av * b_vals[bp];
       }
     }
+    for (std::size_t l = 0; l < c_len; ++l) slot_of[c_cols[l]] = kNoSlot;
   }
 }
 
@@ -403,26 +406,31 @@ void replay_rows(const Csr& a, const Csr& b, const NumericReplayProgram& program
 
 std::size_t replay_numeric_values(const Csr& a, const Csr& b,
                                   const NumericReplayProgram& program,
+                                  std::span<const offset_t> c_row_offsets,
+                                  std::span<const index_t> c_col_indices,
                                   ThreadPool* pool, std::span<value_t> out,
-                                  SimdBackend simd) {
-  const std::size_t rows =
-      program.row_op_start.empty() ? 0 : program.row_op_start.size() - 1;
+                                  std::vector<value_t>* append) {
+  const std::size_t rows = program.assign_first.size();
   if (rows == 0) return 0;
+  ThreadPool& workers = pool_or_global(pool);
+  if (append != nullptr && workers.thread_count() > 1) {
+    // Workers fill disjoint row ranges, so the values must exist up front.
+    append->resize(static_cast<std::size_t>(c_row_offsets[rows]));
+    out = *append;
+    append = nullptr;
+  }
   const auto replay = [&](std::size_t begin, std::size_t end) {
+    std::vector<index_t>& colmap = replay_colmap(static_cast<std::size_t>(b.cols()));
     const std::size_t allocs_before = detail::alloc_events_now();
-    if (program.masked) {
-      replay_rows<true>(a, b, program, begin, end, out, simd);
-    } else {
-      replay_rows<false>(a, b, program, begin, end, out, simd);
-    }
+    replay_rows(a, b, program, c_row_offsets, c_col_indices, begin, end, colmap,
+                out, append);
     return detail::alloc_events_now() - allocs_before;
   };
-  ThreadPool& workers = pool_or_global(pool);
   if (workers.thread_count() == 1) return replay(0, rows);
 
   // Fixed row chunking — like the block passes, boundaries are a pure
   // function of the row count, so the replay is bit-identical at any thread
-  // count (each C row's ops run in program order on exactly one worker, and
+  // count (each C row's products run in order on exactly one worker, and
   // rows own disjoint slots of `out`).
   std::vector<std::size_t> chunk_allocs(
       (rows + detail::kRowChunk - 1) / detail::kRowChunk, 0);

@@ -1,15 +1,11 @@
 #include "speck/plan.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstring>
 
-#include "common/check.h"
-#include "common/prefix_sum.h"
 #include "common/prng.h"
-#include "common/thread_pool.h"
-#include "speck/kernels_detail.h"
+#include "matrix/matrix_stats.h"
 
 namespace speck {
 namespace {
@@ -206,7 +202,7 @@ std::size_t string_heap_bytes(const std::string& s) {
 
 std::size_t SpeckPlan::byte_size() const {
   // Allocated (capacity-based) footprint of everything a cached plan pins:
-  // planning state, the C pattern arrays, the replay program, the captured
+  // planning state, the C pattern arrays, the replay start bits, the captured
   // diagnostics tail and the replay trace including each launch's name
   // string. The size-based accounting this replaces undercounted all of the
   // heap slack plus every string, which let the plan-cache byte budget admit
@@ -224,134 +220,23 @@ std::size_t SpeckPlan::byte_size() const {
 }
 
 std::size_t estimate_plan_bytes(const Csr& a, const Csr& b) {
-  // Upper bound on what a plan for (a, b) will pin, computable before any
-  // planning work: the replay program stores one packed dest word per
-  // intermediate product (the value positions are re-derived from the CSR
-  // structure at replay time); the C pattern is at most one entry per
-  // product plus the row-offset array; the per-row planning state (analysis
-  // arrays, bin plans, row_nnz) is a small per-row constant.
-  std::size_t ops = 0;
-  for (const index_t k : a.col_indices()) {
-    ops += static_cast<std::size_t>(b.row_length(k));
-  }
+  // Upper bound on the arrays a plan for (a, b) will pin, computable before
+  // any planning work: the C pattern holds at most one entry per
+  // intermediate product plus the row offsets; per row there are the
+  // analysis (products, longest B row, column range), both bin plans' row
+  // orders and blocks (at most one block per row each), row_nnz and the
+  // replay start bit. Mismatched operands are charged nothing: the pipeline
+  // rejects them.
+  if (a.cols() != b.rows()) return sizeof(SpeckPlan);
+  const auto products = static_cast<std::size_t>(count_products(a, b));
   const auto rows = static_cast<std::size_t>(a.rows());
-  const std::size_t program_bytes =
-      ops * sizeof(std::uint32_t) + (rows + 1) * sizeof(offset_t);
   const std::size_t pattern_bytes =
-      ops * sizeof(index_t) + (rows + 1) * sizeof(offset_t);
-  const std::size_t planning_bytes =
-      rows * (sizeof(offset_t) + 4 * sizeof(index_t) + sizeof(index_t));
-  return sizeof(SpeckPlan) + program_bytes + pattern_bytes + planning_bytes;
-}
-
-NumericReplayProgram build_replay_program(const KernelContext& ctx,
-                                          const BinPlan& numeric_plan,
-                                          std::span<const index_t> row_sizes,
-                                          std::span<const offset_t> c_row_offsets,
-                                          std::span<const index_t> c_col_indices) {
-  constexpr std::uint32_t kAssignFirst = NumericReplayProgram::kAssignFirst;
-  const Csr& a = *ctx.a;
-  const Csr& b = *ctx.b;
-  const auto rows = static_cast<std::size_t>(a.rows());
-
-  NumericReplayProgram program;
-  program.masked = ctx.mask != nullptr;
-  program.row_op_start.assign(rows + 1, 0);
-  if (rows == 0) return program;
-
-  ThreadPool& pool = pool_or_global(ctx.pool);
-  WorkspacePool local_workspaces;
-  WorkspacePool& workspaces =
-      ctx.workspaces != nullptr ? *ctx.workspaces : local_workspaces;
-  workspaces.ensure(pool.thread_count());
-
-  // Masked programs never assign, so only unmasked ones need the per-row
-  // accumulator methods.
-  const std::vector<RowMethod> methods =
-      program.masked ? std::vector<RowMethod>{}
-                     : detail::row_methods(ctx, numeric_plan, row_sizes);
-
-  // Every product gets a dest word — a masked replay walks them all and
-  // drops the off-mask ones — so a row's slice is its exact product count,
-  // then a prefix sum (SIMD scan) places the slices.
-  std::vector<offset_t>& starts = program.row_op_start;
-  pool.parallel_for(rows, detail::kRowChunk,
-                    [&](std::size_t begin, std::size_t end, int /*worker*/) {
-                      for (std::size_t r = begin; r < end; ++r) {
-                        starts[r + 1] = ctx.exact_products(static_cast<index_t>(r));
-                      }
-                    });
-  inclusive_prefix_sum(std::span<offset_t>(starts.data() + 1, rows), ctx.simd);
-  program.dest.resize(static_cast<std::size_t>(starts.back()));
-
-  const auto b_cols_total = static_cast<std::size_t>(b.cols());
-  pool.parallel_for(rows, detail::kRowChunk, [&](std::size_t begin,
-                                                 std::size_t end, int worker) {
-    KernelWorkspace& ws = workspaces.at(worker);
-    std::vector<std::uint8_t>& seen = ws.replay_seen();
-    // Column -> local C-row slot scatter map, never cleared between rows:
-    // each row writes all of its own columns before reading, and a stale
-    // entry can only surface for a column missing from the row's frozen
-    // pattern, which the recheck below catches.
-    std::vector<std::uint32_t>& colmap = ws.colmap(b_cols_total);
-    for (std::size_t r = begin; r < end; ++r) {
-      std::uint32_t* dest = program.dest.data() + starts[r];
-      const auto c_begin = static_cast<std::uint32_t>(c_row_offsets[r]);
-      const auto a_cols = a.row_cols(static_cast<index_t>(r));
-      if (!program.masked && methods[r] == RowMethod::kDirect) {
-        // Single A entry: the C row is the referenced B row, in order.
-        if (a_cols.empty()) continue;
-        const auto len = static_cast<std::uint32_t>(b.row_length(a_cols.front()));
-        for (std::uint32_t j = 0; j < len; ++j) *dest++ = (c_begin + j) | kAssignFirst;
-        continue;
-      }
-
-      const std::span<const index_t> c_cols = c_col_indices.subspan(
-          c_begin, static_cast<std::size_t>(c_row_offsets[r + 1]) - c_begin);
-      for (std::size_t l = 0; l < c_cols.size(); ++l) {
-        colmap[static_cast<std::size_t>(c_cols[l])] = static_cast<std::uint32_t>(l);
-      }
-      // Walks the row's products in replay order and stores the row's
-      // encoding of each: (whether the product's column is in the frozen
-      // pattern, its local slot) -> dest word. The encoding is picked once
-      // per row below, never per product.
-      const auto emit = [&](auto encode) {
-        for (const index_t k : a_cols) {
-          for (const index_t col : b.row_cols(k)) {
-            const std::uint32_t local = colmap[static_cast<std::size_t>(col)];
-            *dest++ = encode(local < c_cols.size() && c_cols[local] == col, local);
-          }
-        }
-      };
-      constexpr const char* kMissing =
-          "replay program: product column missing from the frozen C pattern";
-      if (program.masked) {
-        // Off-mask products are dropped; the rest add into the zero-filled
-        // output, mirroring the masked kernels' 0.0 + p first touch.
-        emit([&](bool found, std::uint32_t local) {
-          return found ? c_begin + local : NumericReplayProgram::kSkip;
-        });
-      } else if (methods[r] == RowMethod::kHash) {
-        // Hash rows assign their first contribution to a slot, then add.
-        seen.assign(c_cols.size(), 0);
-        emit([&](bool found, std::uint32_t local) {
-          SPECK_ASSERT(found, kMissing);
-          const std::uint32_t word =
-              (c_begin + local) | (seen[local] == 0 ? kAssignFirst : 0u);
-          seen[local] = 1;
-          return word;
-        });
-      } else {
-        // Dense rows add into a zero-initialized window.
-        emit([&](bool found, std::uint32_t local) {
-          SPECK_ASSERT(found, kMissing);
-          return c_begin + local;
-        });
-      }
-    }
-  });
-
-  return program;
+      products * sizeof(index_t) + (rows + 1) * sizeof(offset_t);
+  const std::size_t per_row_bytes =
+      sizeof(offset_t) + 3 * sizeof(index_t) +
+      2 * (sizeof(index_t) + sizeof(BinPlan::Block)) + sizeof(index_t) +
+      sizeof(std::uint8_t);
+  return sizeof(SpeckPlan) + pattern_bytes + rows * per_row_bytes;
 }
 
 }  // namespace speck

@@ -142,14 +142,14 @@ struct SpeckDiagnostics {
 };
 
 /// Frozen pattern-dependent state of one (A, B, config) structure: the full
-/// planning output plus the exact pattern of C and a values-only replay
-/// program. Build with Speck::plan(); consume with Speck::multiply_with_plan()
+/// planning output plus the exact pattern of C and the per-row start bits of
+/// its values-only replay. Build with Speck::plan(); consume with Speck::multiply_with_plan()
 /// — or let Speck's transparent cache do both.
 struct SpeckPlan {
   PlanFingerprint fingerprint;
 
-  /// False when the structure could not be captured (32-bit index overflow,
-  /// failed pipeline run); multiply_with_plan then falls back.
+  /// False when the structure could not be captured (failed pipeline run);
+  /// multiply_with_plan then falls back.
   bool complete = false;
   std::string incomplete_reason;
 
@@ -166,7 +166,8 @@ struct SpeckPlan {
   std::vector<offset_t> c_row_offsets;
   std::vector<index_t> c_col_indices;
 
-  /// Values-only program: one entry per intermediate product.
+  /// Per-row start bits and product count of the values-only replay, which
+  /// finds each product's slot in the C pattern above.
   NumericReplayProgram program;
 
   /// Full-run observables captured at plan time. The pipeline is a
@@ -191,7 +192,7 @@ struct SpeckPlan {
   }
 
   /// Allocated host-memory footprint of the full cached plan — planning
-  /// state, C pattern arrays, replay program, captured diagnostics tail and
+  /// state, C pattern arrays, replay start bits, captured diagnostics tail and
   /// replay trace (capacity-based; drives the plan cache's byte budget).
   std::size_t byte_size() const;
 };
@@ -200,31 +201,5 @@ struct SpeckPlan {
 /// what the cache admission check and the worth-caching guard charge before
 /// spending any planning work. O(nnz(A)).
 std::size_t estimate_plan_bytes(const Csr& a, const Csr& b);
-
-/// True when the nnz of A, B and C all fit the 31-bit value slots of the
-/// replay program (NumericReplayProgram::kAssignFirst takes the top bit).
-/// A structure that fails it is never cached and its plan stays incomplete.
-bool replay_indices_fit(std::uint64_t a_nnz, std::uint64_t b_nnz,
-                        std::uint64_t c_nnz);
-
-/// Builds the values-only replay program for a numeric plan: walks every
-/// intermediate product in the order the numeric kernels accumulate them
-/// (A-row outer, B-row inner) and records only its dest word — the
-/// destination slot in the frozen C pattern plus, unmasked, whether the
-/// product assigns or accumulates. The accumulator method per row is
-/// re-derived from `row_sizes` (the sizes numeric binning ran off) exactly
-/// like run_numeric selects it: hash and direct rows assign their first
-/// touch, dense rows add into a zero-initialized window. With ctx.mask set
-/// the program is masked (program.masked): a product whose column is
-/// missing from the frozen masked C pattern gets kSkip and no word carries
-/// kAssignFirst, since masked replays add into a zero-filled buffer.
-/// Parallelized over C rows; the result is independent of the thread count.
-/// Requires the nnz of A, B and C to pass replay_indices_fit — the caller
-/// checks and marks the plan incomplete otherwise.
-NumericReplayProgram build_replay_program(const KernelContext& ctx,
-                                          const BinPlan& numeric_plan,
-                                          std::span<const index_t> row_sizes,
-                                          std::span<const offset_t> c_row_offsets,
-                                          std::span<const index_t> c_col_indices);
 
 }  // namespace speck

@@ -381,8 +381,8 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
       if (build.plan != nullptr) {
         resp.planned = true;
       } else {
-        // Unplannable structure (e.g. 32-bit replay overflow): the full run
-        // still answers this request; later requests run the pipeline again.
+        // No plan came back (an incomplete capture): the full run still
+        // answers this request; later requests run the pipeline again.
         full_runs_.fetch_add(1, std::memory_order_relaxed);
       }
       // The planning run already computed C with this request's values —

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <optional>
 
+#include "matrix/matrix_stats.h"
 #include "sim/memory_tracker.h"
 #include "speck/estimator.h"
+#include "speck/kernels_detail.h"
 #include "speck/masked_pass.h"
 
 namespace speck {
 namespace {
-
-// The replay program packs each C value slot with the assign-first flag
-// into one uint32 (NumericReplayProgram::kAssignFirst), so indices must fit
-// in 31 bits.
-constexpr std::uint64_t kMaxReplayIndex = 1ULL << 31;
 
 /// Where the pipeline takes the per-row C sizes that numeric binning and
 /// the C allocation run off. Each source also picks the numeric kernel.
@@ -120,12 +117,6 @@ struct DeviceMemory {
 };
 
 }  // namespace
-
-bool replay_indices_fit(std::uint64_t a_nnz, std::uint64_t b_nnz,
-                        std::uint64_t c_nnz) {
-  return a_nnz < kMaxReplayIndex && b_nnz < kMaxReplayIndex &&
-         c_nnz < kMaxReplayIndex;
-}
 
 /// One pipeline run. Owns what every stage touches — the fault injector,
 /// the simulated device memory, the kernel context and the result under
@@ -352,8 +343,8 @@ class Speck::PipelineRun {
   /// Freezes the completed run's structure state into `plan`.
   void capture(SpeckPlan& plan, bool steal_pattern) {
     plan.wide_keys = ctx_.wide_keys;
-    // The plan stores the *actual* exact row counts. The replay program
-    // re-derives method selection from the row sizes binning ran off — the
+    // The plan stores the *actual* exact row counts. The replay start bits
+    // re-derive method selection from the row sizes binning ran off — the
     // estimates in estimated mode, exactly what the estimated pass
     // executed — which is what keeps replays bit-identical.
     plan.row_nnz = source_ == RowSizes::kSymbolic ? std::move(row_sizes_)
@@ -370,17 +361,21 @@ class Speck::PipelineRun {
       plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
       plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
     }
-    if (!replay_indices_fit(static_cast<std::uint64_t>(a_.nnz()),
-                            static_cast<std::uint64_t>(b_.nnz()),
-                            static_cast<std::uint64_t>(plan.c_nnz()))) {
-      plan.incomplete_reason = "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program(
+    // Masked rows all add into zeros; unmasked rows start from the method
+    // re-derived off the row sizes binning ran off.
+    NumericReplayProgram& program = plan.program;
+    program.masked = ctx_.mask != nullptr;
+    program.products = static_cast<std::size_t>(count_products(a_, b_));
+    program.assign_first.assign(static_cast<std::size_t>(a_.rows()), 0);
+    if (!program.masked) {
+      const std::vector<RowMethod> methods = detail::row_methods(
           ctx_, numeric_plan_,
-          source_ == RowSizes::kSymbolic ? plan.row_nnz : row_sizes_,
-          plan.c_row_offsets, plan.c_col_indices);
-      plan.complete = true;
+          source_ == RowSizes::kSymbolic ? plan.row_nnz : row_sizes_);
+      for (std::size_t r = 0; r < methods.size(); ++r) {
+        program.assign_first[r] = methods[r] != RowMethod::kDense ? 1 : 0;
+      }
     }
+    plan.complete = true;
     plan.analysis = std::move(rows_.analysis);
     plan.symbolic_plan = std::move(symbolic_plan_);
     plan.numeric_plan = std::move(numeric_plan_);
@@ -476,10 +471,6 @@ ThreadPool* Speck::host_pool() {
 }
 
 bool Speck::plan_worth_caching(const Csr& a, const Csr& b) const {
-  if (!replay_indices_fit(static_cast<std::uint64_t>(a.nnz()),
-                          static_cast<std::uint64_t>(b.nnz()), 0)) {
-    return false;
-  }
   // estimate_plan_bytes is O(nnz_A) — cheap relative to the full multiply
   // the cache is about to amortize — and bounds the plan's real byte_size(),
   // so a structure admitted here can actually be retained by the cache.
@@ -663,15 +654,15 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
   }
 
   // Caller-owned values leave result.c empty — the pattern is shared via
-  // the plan. The dense-row program ops accumulate, so the buffer starts
-  // from zero either way.
-  std::vector<value_t> values(external != nullptr ? 0 : c_nnz, 0.0);
-  const std::span<value_t> out = external != nullptr ? *external : values;
-  if (external != nullptr) std::fill(out.begin(), out.end(), value_t{0});
-  // A 1-thread pool (the concurrent service path) replays on this thread
-  // without allocating.
+  // the plan. Owned values are created by the replay itself, at each row's
+  // start value, instead of zero-filled first. A 1-thread pool (the
+  // concurrent service path) replays on this thread without allocating.
+  std::vector<value_t> values;
+  if (external == nullptr) values.reserve(c_nnz);
   const std::size_t replay_allocs = replay_numeric_values(
-      a, b, plan.program, pool, out, simd::resolve_backend(config_.simd_backend));
+      a, b, plan.program, plan.c_row_offsets, plan.c_col_indices, pool,
+      external != nullptr ? *external : std::span<value_t>(),
+      external != nullptr ? nullptr : &values);
   if (external == nullptr) {
     result.c = Csr(plan.fingerprint.a_rows, plan.fingerprint.b_cols,
                    std::span<const offset_t>(plan.c_row_offsets),

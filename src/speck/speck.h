@@ -165,7 +165,7 @@ class Speck final : public SpGemmAlgorithm {
   /// planning), the sampled estimator (estimated planning) or the mask rows
   /// (non-null `mask`), and select the matching numeric kernel. When
   /// `capture` is non-null and the run succeeds, the plan is filled with
-  /// the frozen structure state and replay program. A non-null `cancel`
+  /// the frozen structure state and replay start bits. A non-null `cancel`
   /// token is polled at every stage boundary and throws DeadlineExceeded
   /// when expired. `steal_pattern` is a promise from the caller that the
   /// returned result will be discarded: the capture then moves the C

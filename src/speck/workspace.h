@@ -84,15 +84,10 @@ class KernelWorkspace {
   /// Dense-accumulator window/cursor/output buffers.
   DenseScratch& dense() { return dense_; }
 
-  /// Per-row first-touch bitmap used while building a plan's values-only
-  /// replay program (build_replay_program).
-  std::vector<std::uint8_t>& replay_seen() { return replay_seen_; }
-
-  /// Column -> local C-row slot scatter map of the estimated merge pass
-  /// and the replay-program build, grown to at least `columns` entries (B's
-  /// column count). It only grows and is never cleared: each user tells a
-  /// live entry from a stale one on its own (an epoch tag, a pattern
-  /// recheck), so they can share it.
+  /// Column -> local C-row slot scatter map of the estimated merge pass,
+  /// grown to at least `columns` entries (B's column count). It only grows
+  /// and is never cleared: estimate_epoch() tells a live entry from a stale
+  /// one.
   std::vector<std::uint32_t>& colmap(std::size_t columns) {
     if (colmap_.size() < columns) colmap_.resize(columns);
     return colmap_;
@@ -126,7 +121,6 @@ class KernelWorkspace {
   std::vector<std::size_t> group_iterations_;
   std::vector<index_t> referenced_;
   DenseScratch dense_;
-  std::vector<std::uint8_t> replay_seen_;
   std::vector<std::uint32_t> colmap_;
   std::vector<value_t> replay_values_;
   std::vector<std::uint32_t> estimate_epoch_;

@@ -24,8 +24,8 @@
 namespace speck {
 namespace {
 
-/// A complete synthetic plan with a distinct full fingerprint and a replay
-/// program padded so byte_size() lands close to `approx_bytes` — precise
+/// A complete synthetic plan with a distinct full fingerprint and a C
+/// pattern padded so byte_size() lands close to `approx_bytes` — precise
 /// control over the cache's byte accounting without running the pipeline.
 std::shared_ptr<const SpeckPlan> make_plan(std::uint64_t id,
                                            std::size_t approx_bytes) {
@@ -42,9 +42,9 @@ std::shared_ptr<const SpeckPlan> make_plan(std::uint64_t id,
   plan->fingerprint.b_pattern_hash = id ^ 0x9E3779B9u;
   const std::size_t base = plan->byte_size();
   if (approx_bytes > base) {
-    // Pad with the dominant program array; shrink_to_fit is not needed —
+    // Pad with the dominant pattern array; shrink_to_fit is not needed —
     // byte_size is capacity-based, resize from empty gives capacity == size.
-    plan->program.dest.resize((approx_bytes - base) / sizeof(std::uint32_t));
+    plan->c_col_indices.resize((approx_bytes - base) / sizeof(index_t));
   }
   return plan;
 }

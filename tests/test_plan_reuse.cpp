@@ -7,7 +7,10 @@
 // detected and fall back to the full pipeline, never produce wrong values.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <new>
 
 #include "common/alloc_counter.h"
@@ -15,6 +18,7 @@
 #include "gen/generators.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
+#include "ref/masked.h"
 #include "speck/speck.h"
 
 // Counting allocator (as in bench_hotpath): makes the replay path's
@@ -43,6 +47,23 @@ Csr reweighted(const Csr& a, std::uint64_t seed) {
   for (auto& v : vals) v = rng.next_double(-2.0, 2.0);
   return Csr(a.rows(), a.cols(), std::move(offsets), std::move(cols),
              std::move(vals));
+}
+
+/// Same structure, values drawn from {-0.0, +0.0, -1, 1, 0.5}: products are
+/// signed zeros or cancel exactly, so a slot's sign depends on whether its
+/// row assigns the first product or adds it into a zeroed window.
+Csr signed_zero_values(const Csr& a, std::uint64_t seed) {
+  static constexpr value_t kValues[] = {-0.0, -0.0, 0.0, -1.0, 1.0, 0.5};
+  Xoshiro256 rng(seed);
+  Csr out = a;
+  for (value_t& v : out.values_mutable()) v = kValues[rng.next_below(6)];
+  return out;
+}
+
+/// Bitwise equality: unlike ==, tells -0.0 from +0.0.
+bool same_bytes(std::span<const value_t> x, std::span<const value_t> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(value_t)) == 0;
 }
 
 /// Every PassStats counter must match; hot_path_allocs is checked separately
@@ -121,6 +142,121 @@ TEST(PlanReuse, ReplayBitIdenticalUnderForcedSpill) {
     cfg.faults.hash_overflow_after = 8;   // force global-memory fallback
     cfg.faults.estimate_scale = 0.25;     // undersized bins -> spills
     check_replay_matches_full(cfg, a, a);
+  }
+}
+
+TEST(PlanReuse, SignedZerosReplayBitwiseInEveryRowMethod) {
+  // Hash and direct rows assign their first product, dense and masked rows
+  // add it into zeros: when every product of a slot is -0.0, the two give
+  // different sign bits, so a replay must start each row from the
+  // matching zero.
+  SpeckConfig hash;
+  hash.features.direct_rows = false;
+  hash.features.dense_accumulation = false;
+  SpeckConfig dense;
+  dense.features.direct_rows = false;
+  dense.features.block_merge = false;
+  dense.max_rows_per_block = 1;
+  dense.dense_density_threshold = 1e-9;
+  const SpeckConfig direct;  // single-entry rows reference their B row
+  const Csr square = gen::random_uniform(300, 300, 6, 2141);
+  const Csr single = gen::random_uniform(300, 300, 1, 2143);
+  const Csr mask = gen::random_uniform(300, 300, 12, 2145);
+  struct Case {
+    const char* name;
+    SpeckConfig cfg;
+    const Csr* a;
+    const Csr* mask;
+    offset_t PassStats::*method_rows;  ///< null: not pinned
+  };
+  const Case cases[] = {
+      {"hash", hash, &square, nullptr, &PassStats::hash_rows},
+      {"dense", dense, &square, nullptr, &PassStats::dense_rows},
+      {"direct", direct, &single, nullptr, &PassStats::direct_rows},
+      {"masked", SpeckConfig{}, &square, &mask, nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SpeckConfig cfg = c.cfg;
+    cfg.plan_cache = false;
+    Speck planner(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+    const SpeckPlan plan =
+        c.mask != nullptr ? planner.plan_masked(*c.a, square, *c.mask)
+                          : planner.plan(*c.a, square);
+    ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+    if (c.method_rows != nullptr) {
+      EXPECT_EQ(plan.diagnostics.numeric.*c.method_rows, c.a->rows())
+          << "the config must route every row through the method";
+    }
+    cfg.mask = c.mask != nullptr ? std::make_shared<const Csr>(*c.mask) : nullptr;
+    planner.config().mask = cfg.mask;
+    for (const std::uint64_t seed : {2147u, 2149u}) {
+      const Csr a = signed_zero_values(*c.a, seed);
+      const Csr b = signed_zero_values(square, seed + 1);
+      Speck reference(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+      const SpGemmResult full = reference.multiply(a, b);
+      ASSERT_TRUE(full.ok()) << full.failure_reason;
+      std::size_t negative_zeros = 0, positive_zeros = 0;
+      for (const value_t v : full.c.values()) {
+        if (v == 0.0) ++(std::signbit(v) ? negative_zeros : positive_zeros);
+      }
+      EXPECT_GT(positive_zeros, 0u);
+      if (c.mask == nullptr && c.method_rows != &PassStats::dense_rows) {
+        EXPECT_GT(negative_zeros, 0u);
+      }
+
+      const SpGemmResult replay = planner.multiply_with_plan(plan, a, b);
+      ASSERT_TRUE(replay.ok()) << replay.failure_reason;
+      EXPECT_FALSE(planner.last_diagnostics().plan_fallback);
+      EXPECT_TRUE(same_bytes(replay.c.values(), full.c.values()));
+      std::vector<value_t> into(static_cast<std::size_t>(plan.c_nnz()), 42.0);
+      ASSERT_TRUE(planner.replay_values_into(plan, a, b, into).ok());
+      EXPECT_TRUE(same_bytes(into, full.c.values()));
+    }
+  }
+}
+
+TEST(PlanReuse, ColumnMapCarriesNothingBetweenMaskedAndUnmaskedReplays) {
+  // Both plans replay on this thread and share its column map: a stale
+  // entry left by the unmasked plan would let the masked plan keep an
+  // off-mask product, one left by the masked plan would misplace a product.
+  SpeckConfig cfg;
+  cfg.host_threads = 1;
+  cfg.plan_cache = false;
+  const Csr base = gen::power_law(300, 300, 8, 1.9, 80, 2151);
+  const Csr mask = gen::random_uniform(300, 300, 5, 2153);
+  Speck plain(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+  cfg.mask = std::make_shared<const Csr>(mask);
+  Speck masked(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+  const SpeckPlan plain_plan = plain.plan(base, base);
+  const SpeckPlan masked_plan = masked.plan_masked(base, base, mask);
+  ASSERT_TRUE(plain_plan.complete && masked_plan.complete);
+  ASSERT_LT(masked_plan.c_nnz(), plain_plan.c_nnz())
+      << "the mask must drop products";
+
+  std::uint64_t seed = 2155;
+  for (const bool masked_first : {false, true}) {
+    SCOPED_TRACE(masked_first);
+    for (int round = 0; round < 3; ++round) {
+      const Csr a = reweighted(base, seed++);
+      const Csr b = reweighted(base, seed++);
+      const SpGemmResult full = plain.multiply(a, b);
+      const SpGemmResult full_masked = masked.multiply(a, b);
+      ASSERT_TRUE(full.ok() && full_masked.ok());
+      const Csr oracle = masked_spgemm(a, b, mask);
+      std::vector<value_t> plain_out(static_cast<std::size_t>(plain_plan.c_nnz()));
+      std::vector<value_t> masked_out(static_cast<std::size_t>(masked_plan.c_nnz()));
+      for (int step = 0; step < 2; ++step) {
+        if ((step == 0) == masked_first) {
+          ASSERT_TRUE(masked.replay_values_into(masked_plan, a, b, masked_out).ok());
+        } else {
+          ASSERT_TRUE(plain.replay_values_into(plain_plan, a, b, plain_out).ok());
+        }
+      }
+      EXPECT_TRUE(same_bytes(plain_out, full.c.values()));
+      EXPECT_TRUE(same_bytes(masked_out, full_masked.c.values()));
+      EXPECT_TRUE(same_bytes(masked_out, oracle.values()));
+    }
   }
 }
 
