@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/bit_utils.h"
@@ -59,13 +58,8 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
   const auto b_cols_total = static_cast<std::size_t>(ctx.b->cols());
   std::vector<std::uint32_t>& colmap = ws.colmap(b_cols_total);
   std::vector<std::uint32_t>& epoch = ws.estimate_epoch();
-  if (epoch.size() < b_cols_total) epoch.resize(b_cols_total, 0);
-  std::uint32_t& counter = ws.estimate_epoch_counter();
-  if (counter == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(epoch.begin(), epoch.end(), 0);
-    counter = 0;
-  }
-  const std::uint32_t cur = ++counter;
+  const std::uint32_t cur =
+      next_stamp(epoch, ws.estimate_epoch_counter(), b_cols_total);
 
   const bool dense = method == RowMethod::kDense;
   const auto cap_u = static_cast<std::uint32_t>(cap);

@@ -67,13 +67,16 @@ bool FlatSpillMap::insert(key64_t key) {
 
 void FlatSpillMap::accumulate(key64_t key, value_t value) {
   const Locate l = locate(key);
-  if (!l.present) {
-    ctrl_[l.index] = hash_tag(key * kHashPrime);
-    keys_[l.index] = key;
-    vals_[l.index] = 0.0;
-    ++size_;
+  if (l.present) {
+    vals_[l.index] += value;
+    return;
   }
-  vals_[l.index] += value;
+  // A new key takes the value itself, like DeviceHashMap::accumulate: 0.0 +
+  // value would turn a -0.0 into +0.0.
+  ctrl_[l.index] = hash_tag(key * kHashPrime);
+  keys_[l.index] = key;
+  vals_[l.index] = value;
+  ++size_;
 }
 
 bool FlatSpillMap::seed(key64_t key) {

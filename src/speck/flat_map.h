@@ -47,7 +47,8 @@ class FlatSpillMap {
   /// Membership insert (symbolic spill). Returns true when the key was new.
   bool insert(key64_t key);
 
-  /// Adds `value` to the slot for `key`, creating it at 0 (numeric spill).
+  /// Adds `value` to the slot for `key`; a new key takes `value` itself
+  /// (numeric spill).
   void accumulate(key64_t key, value_t value);
 
   /// Masked-insert mode: pre-seeds `key` as an admissible slot (value zero,

@@ -138,14 +138,6 @@ void MaskedNumericAccumulator::seed(key64_t key) {
   global_.seed(key);
 }
 
-void MaskedNumericAccumulator::accumulate(key64_t key, value_t value) {
-  if (!in_global_) {
-    local_.accumulate_if_present(key, value);
-    return;
-  }
-  global_.accumulate_if_present(key, value);
-}
-
 bool MaskedNumericAccumulator::lookup_touched(key64_t key, value_t* value) {
   if (!in_global_) return local_.lookup_touched(key, value);
   return global_.lookup_touched(key, value);

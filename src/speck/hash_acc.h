@@ -8,8 +8,10 @@
 //
 // Accumulators are designed for reuse: a per-worker KernelWorkspace holds
 // one of each and calls `begin_block()` before every block, which re-targets
-// the scratchpad capacity and clears both maps in O(1) (epoch tags) while
-// keeping their grown storage. After warm-up no block allocates.
+// the scratchpad capacity and clears both maps while keeping their grown
+// storage: the scratchpad map returns only the slots the last block claimed
+// to empty, the spill map bumps its epoch tag. After warm-up no block
+// allocates.
 #pragma once
 
 #include "common/fault_injection.h"
@@ -32,8 +34,9 @@ class SymbolicHashAccumulator {
   }
 
   /// Prepares for a new block: scratchpad capacity, fault hook, SIMD
-  /// backend, all contents and counters cleared. O(1) after warm-up. The
-  /// backend only changes probe speed; contents and counters are identical.
+  /// backend, all contents and counters cleared in O(slots the last block
+  /// used) after warm-up. The backend only changes probe speed; contents
+  /// and counters are identical.
   void begin_block(std::size_t capacity, const FaultInjector* faults,
                    SimdBackend simd = SimdBackend::kScalar);
 
@@ -80,8 +83,9 @@ class NumericHashAccumulator {
   }
 
   /// Prepares for a new block: scratchpad capacity, fault hook, SIMD
-  /// backend, all contents and counters cleared. O(1) after warm-up. The
-  /// backend only changes probe speed; contents and counters are identical.
+  /// backend, all contents and counters cleared in O(slots the last block
+  /// used) after warm-up. The backend only changes probe speed; contents
+  /// and counters are identical.
   void begin_block(std::size_t capacity, const FaultInjector* faults,
                    SimdBackend simd = SimdBackend::kScalar);
 
@@ -135,8 +139,9 @@ class MaskedNumericAccumulator {
   MaskedNumericAccumulator() = default;
 
   /// Prepares for a new block: scratchpad capacity, fault hook, SIMD
-  /// backend, all contents and counters cleared. O(1) after warm-up. The
-  /// backend only changes probe speed; contents and counters are identical.
+  /// backend, all contents and counters cleared in O(slots the last block
+  /// used) after warm-up. The backend only changes probe speed; contents
+  /// and counters are identical.
   void begin_block(std::size_t capacity, const FaultInjector* faults,
                    SimdBackend simd = SimdBackend::kScalar);
 
@@ -145,7 +150,14 @@ class MaskedNumericAccumulator {
 
   /// Adds `value` into `key`'s slot iff the key was seeded; marks it
   /// touched. Non-mask keys are dropped (their probe is still counted).
-  void accumulate(key64_t key, value_t value);
+  /// Inline: it is the masked pass's per-product call.
+  void accumulate(key64_t key, value_t value) {
+    if (!in_global_) {
+      local_.accumulate_if_present(key, value);
+      return;
+    }
+    global_.accumulate_if_present(key, value);
+  }
 
   /// True (with the accumulated sum) iff `key` was seeded and touched.
   bool lookup_touched(key64_t key, value_t* value);

@@ -1,5 +1,7 @@
 #include "speck/hash_map.h"
 
+#include <cstring>
+
 namespace speck {
 
 // One-slot-at-a-time reference probe: the exact linear scan the paper's
@@ -10,7 +12,6 @@ DeviceHashMap::Probe DeviceHashMap::probe_scalar(key64_t key, std::size_t start,
   std::size_t slot = start;
   for (std::size_t step = 0; step < capacity_; ++step) {
     ++probes_;
-    materialize_group(slot / simd::kGroupWidth);
     const std::uint8_t c = ctrl_[slot];
     if (c == kCtrlEmpty) return Probe{slot, false};
     if (c == tag && keys_[slot] == key) return Probe{slot, true};
@@ -32,7 +33,6 @@ DeviceHashMap::Probe DeviceHashMap::probe_groups(key64_t key, std::size_t start,
   // Most probes stop on their home slot; one byte compare settles those
   // without paying for a whole-group scan, and counts the same single probe
   // the scalar scan would.
-  materialize_group(start / simd::kGroupWidth);
   const std::uint8_t c0 = ctrl_[start];
   if (c0 == kCtrlEmpty) {
     ++probes_;
@@ -48,7 +48,6 @@ DeviceHashMap::Probe DeviceHashMap::probe_groups(key64_t key, std::size_t start,
     const std::size_t g = slot / simd::kGroupWidth;
     const std::size_t base = g * simd::kGroupWidth;
     const auto off = static_cast<unsigned>(slot - base);
-    materialize_group(g);
     const simd::GroupMasks m =
         simd::group_masks16(ctrl_.data() + base, tag, kCtrlEmpty, backend_);
     // Walk candidate stop lanes in ascending order: the first empty lane
@@ -84,10 +83,8 @@ bool DeviceHashMap::insert_key(key64_t key) {
     return false;
   }
   if (p.found) return false;
-  ctrl_[p.index] = hash_tag(h);
-  keys_[p.index] = key;
+  claim(p.index, key, hash_tag(h));
   vals_[p.index] = 0.0;
-  ++size_;
   return true;
 }
 
@@ -102,10 +99,8 @@ bool DeviceHashMap::accumulate(key64_t key, value_t value) {
     vals_[p.index] += value;
     return true;
   }
-  ctrl_[p.index] = hash_tag(h);
-  keys_[p.index] = key;
+  claim(p.index, key, hash_tag(h));
   vals_[p.index] = value;
-  ++size_;
   return true;
 }
 
@@ -117,17 +112,16 @@ bool DeviceHashMap::seed_key(key64_t key) {
     return false;
   }
   if (p.found) return false;
-  ctrl_[p.index] = hash_tag(h);
-  keys_[p.index] = key;
+  claim(p.index, key, hash_tag(h));
   vals_[p.index] = 0.0;
   touched_[p.index] = 0;
-  ++size_;
   return true;
 }
 
-bool DeviceHashMap::accumulate_if_present(key64_t key, value_t value) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
+bool DeviceHashMap::accumulate_if_present_from(key64_t key, value_t value,
+                                               std::size_t start,
+                                               std::uint8_t tag) {
+  const Probe p = probe(key, start, tag);
   if (p.index == kNoSlot || !p.found) return false;
   vals_[p.index] += value;
   touched_[p.index] = 1;
@@ -154,26 +148,39 @@ void DeviceHashMap::extract_into(std::vector<Entry>& out) const {
 }
 
 void DeviceHashMap::reset() {
-  ++epoch_;
+  for (std::size_t i = 0; i < size_; ++i) {
+    const std::size_t slot = used_[i];
+    ctrl_[slot] = kCtrlEmpty;
+    group_used_[slot / simd::kGroupWidth / 64] = 0;
+  }
   size_ = 0;
   overflowed_ = false;
 }
 
 void DeviceHashMap::reconfigure(std::size_t capacity) {
   SPECK_REQUIRE(capacity > 0, "hash map capacity must be positive");
-  groups_ = (capacity + simd::kGroupWidth - 1) / simd::kGroupWidth;
-  if (groups_ * simd::kGroupWidth > ctrl_.size()) {
-    ctrl_.resize(groups_ * simd::kGroupWidth);
-    group_epoch_.resize(groups_, 0);
-    keys_.resize(groups_ * simd::kGroupWidth);
-    vals_.resize(groups_ * simd::kGroupWidth);
-    touched_.resize(groups_ * simd::kGroupWidth);
+  SPECK_REQUIRE(capacity <= UINT32_MAX, "hash map capacity exceeds 32-bit slots");
+  reset();
+  if (capacity != capacity_) {
+    const std::size_t groups = (capacity + simd::kGroupWidth - 1) / simd::kGroupWidth;
+    const std::size_t slots = groups * simd::kGroupWidth;
+    if (slots > ctrl_.size()) {
+      ctrl_.resize(slots, kCtrlEmpty);
+      keys_.resize(slots);
+      vals_.resize(slots);
+      touched_.resize(slots);
+      used_.resize(slots);
+      group_used_.resize((groups + 63) / 64, 0);
+    }
+    // Only the old and new tail padding change: the old sentinels become
+    // kEmpty, then the new last group is padded.
+    std::memset(ctrl_.data() + capacity_, kCtrlEmpty,
+                groups_ * simd::kGroupWidth - capacity_);
+    std::memset(ctrl_.data() + capacity, kCtrlSentinel, slots - capacity);
+    capacity_ = capacity;
+    groups_ = groups;
   }
-  capacity_ = capacity;
-  ++epoch_;
-  size_ = 0;
   probes_ = 0;
-  overflowed_ = false;
 }
 
 }  // namespace speck

@@ -4,8 +4,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -47,15 +47,16 @@ inline int key_local_row(key64_t key, bool wide_keys) {
 /// one-at-a-time scan would visit — so contents, insertion order, and every
 /// PassStats counter are bit-identical across backends.
 ///
-/// Groups are epoch-tagged: a group's control bytes are only meaningful when
-/// its epoch matches the map's, and are lazily re-materialized (filled with
-/// kEmpty) on first touch after a reset. `reset()` and `reconfigure()`
-/// therefore invalidate the whole contents by bumping one counter — O(1)
-/// instead of an O(capacity) refill — which is what lets a per-worker
-/// workspace reuse one map across every block it executes. Probe sequences
-/// depend only on the logical capacity, never on the size of the retained
-/// slot storage, so a reused map behaves bit-identically to a freshly
-/// constructed one.
+/// Control bytes are always valid: `reconfigure()` keeps every byte below
+/// the logical capacity kEmpty or a tag and pads the last group with
+/// sentinels. Every claimed slot is recorded in a used-slot list (sized to
+/// the retained storage, so steady state never allocates) and its group is
+/// marked in a small bitmap. `reset()` and `reconfigure()` return just those
+/// slots to kEmpty — O(slots used), not O(capacity) — which is what lets a
+/// per-worker workspace reuse one map across every block it executes.
+/// Probe sequences depend only on the logical capacity, never on the size
+/// of the retained slot storage, so a reused map behaves bit-identically to
+/// a freshly constructed one.
 class DeviceHashMap {
  public:
   /// Empty map; `reconfigure()` must run before any insert.
@@ -93,8 +94,18 @@ class DeviceHashMap {
 
   /// Masked accumulate: adds into `key`'s slot only when it was seeded,
   /// marking it touched. A miss (non-mask column) is a no-op — no slot is
-  /// claimed — but its probe walk is still counted like any other.
-  bool accumulate_if_present(key64_t key, value_t value);
+  /// claimed — but its probe walk is still counted like any other. Most
+  /// masked misses land on an empty home slot, so that one-probe case is
+  /// settled inline.
+  bool accumulate_if_present(key64_t key, value_t value) {
+    const std::uint64_t h = key * kHashPrime;
+    const std::size_t start = hash_slot(h);
+    if (ctrl_[start] == kCtrlEmpty) {
+      ++probes_;
+      return false;
+    }
+    return accumulate_if_present_from(key, value, start, hash_tag(h));
+  }
 
   /// Reads a seeded slot back: true (with the accumulated sum in `*value`)
   /// iff the slot was touched since seeding. Untouched seeds and absent
@@ -115,45 +126,47 @@ class DeviceHashMap {
   void extract_into(std::vector<Entry>& out) const;
 
   /// Visits every occupied slot in slot order with fn(key, value) — the
-  /// in-place alternative to extract() when no copy is needed. Whole stale
-  /// groups (not touched since the last reset) are skipped 16 slots at a
-  /// time. The vector backends reduce each group to one occupied-lane mask
-  /// and walk its set bits in ascending lane order, so the visit order is
-  /// the same slot order as the scalar scan (sentinel bytes past the
-  /// logical capacity carry the high control bit and never appear in the
-  /// mask, so partial tail groups need no special casing).
+  /// in-place alternative to extract() when no copy is needed. Only groups
+  /// holding a slot claimed since the last reset are visited, in ascending
+  /// order from the group bitmap. The vector backends reduce each group to
+  /// one occupied-lane mask and walk its set bits in ascending lane order,
+  /// so the visit order is the same slot order as the scalar scan (sentinel
+  /// bytes past the logical capacity carry the high control bit and never
+  /// appear in the mask, so partial tail groups need no special casing).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (backend_ != SimdBackend::kScalar) {
-      for (std::size_t g = 0; g < groups_; ++g) {
-        if (group_epoch_[g] != epoch_) continue;
-        const std::size_t base = g * simd::kGroupWidth;
-        std::uint32_t occ = simd::occupied_mask16(ctrl_.data() + base, backend_);
-        while (occ != 0) {
-          const unsigned p = simd::lowest_bit(occ);
-          fn(keys_[base + p], vals_[base + p]);
-          occ &= occ - 1;
+    const std::size_t words = (groups_ + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = group_used_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t base =
+            (w * 64 + static_cast<std::size_t>(std::countr_zero(bits))) *
+            simd::kGroupWidth;
+        if (backend_ != SimdBackend::kScalar) {
+          std::uint32_t occ = simd::occupied_mask16(ctrl_.data() + base, backend_);
+          while (occ != 0) {
+            const unsigned p = simd::lowest_bit(occ);
+            fn(keys_[base + p], vals_[base + p]);
+            occ &= occ - 1;
+          }
+        } else {
+          const std::size_t end = std::min(capacity_, base + simd::kGroupWidth);
+          for (std::size_t i = base; i < end; ++i) {
+            if (ctrl_[i] < kCtrlEmpty) fn(keys_[i], vals_[i]);
+          }
         }
-      }
-      return;
-    }
-    for (std::size_t g = 0; g < groups_; ++g) {
-      if (group_epoch_[g] != epoch_) continue;
-      const std::size_t base = g * simd::kGroupWidth;
-      const std::size_t end = std::min(capacity_, base + simd::kGroupWidth);
-      for (std::size_t i = base; i < end; ++i) {
-        if (ctrl_[i] < kCtrlEmpty) fn(keys_[i], vals_[i]);
       }
     }
   }
 
   /// Clears contents (keeps capacity and the probe counter); models the
-  /// reset before moving entries to a global map. O(1) via the epoch tag.
+  /// reset before moving entries to a global map. Returns only the slots
+  /// claimed since the last reset to kEmpty.
   void reset();
 
   /// Re-targets the map for a new block: sets the logical capacity (growing
   /// the retained slot storage only when needed), clears contents and
-  /// zeroes the probe counter. O(1) when the storage already fits.
+  /// zeroes the probe counter. Costs O(slots used) when the storage already
+  /// fits.
   void reconfigure(std::size_t capacity);
 
  private:
@@ -180,18 +193,14 @@ class DeviceHashMap {
     return static_cast<std::uint8_t>(h >> 57);
   }
 
-  /// Lazily fills a group's control bytes with kEmpty (and sentinels past
-  /// the logical capacity) on first touch after a reset.
-  void materialize_group(std::size_t g) {
-    if (group_epoch_[g] == epoch_) return;
-    std::uint8_t* gp = ctrl_.data() + g * simd::kGroupWidth;
-    std::memset(gp, kCtrlEmpty, simd::kGroupWidth);
-    const std::size_t base = g * simd::kGroupWidth;
-    if (base + simd::kGroupWidth > capacity_) {
-      std::memset(gp + (capacity_ - base), kCtrlSentinel,
-                  base + simd::kGroupWidth - capacity_);
-    }
-    group_epoch_[g] = epoch_;
+  /// Claims the empty slot `index` for `key`: writes its tag and key and
+  /// records it for reset() and for_each(). The caller sets the value.
+  void claim(std::size_t index, key64_t key, std::uint8_t tag) {
+    ctrl_[index] = tag;
+    keys_[index] = key;
+    used_[size_++] = static_cast<std::uint32_t>(index);
+    const std::size_t g = index / simd::kGroupWidth;
+    group_used_[g / 64] |= std::uint64_t{1} << (g % 64);
   }
 
   Probe probe(key64_t key, std::size_t start, std::uint8_t tag) {
@@ -200,18 +209,26 @@ class DeviceHashMap {
   }
   Probe probe_scalar(key64_t key, std::size_t start, std::uint8_t tag);
   Probe probe_groups(key64_t key, std::size_t start, std::uint8_t tag);
+  /// accumulate_if_present past its inline empty-home-slot check.
+  bool accumulate_if_present_from(key64_t key, value_t value, std::size_t start,
+                                  std::uint8_t tag);
 
-  std::vector<std::uint8_t> ctrl_;        ///< one control byte per slot
-  std::vector<std::uint64_t> group_epoch_;  ///< ctrl valid iff == epoch_
+  /// One control byte per slot. Invariant: kEmpty everywhere except the
+  /// tags of claimed slots and the sentinels in [capacity_, groups_ * 16).
+  std::vector<std::uint8_t> ctrl_;
   std::vector<key64_t> keys_;
   std::vector<value_t> vals_;
   /// Masked mode only: 1 iff the seeded slot has been accumulated into.
-  /// Valid only for slots written by seed_key in the current epoch, so no
-  /// epoch machinery of its own is needed.
+  /// Valid only for slots written by seed_key since the last reset, so it
+  /// needs no clearing of its own.
   std::vector<std::uint8_t> touched_;
+  /// Slots claimed since the last reset, in claim order: used_[0, size_).
+  /// Sized to the retained storage, which bounds the claims.
+  std::vector<std::uint32_t> used_;
+  /// One bit per group holding a slot claimed since the last reset.
+  std::vector<std::uint64_t> group_used_;
   std::size_t capacity_ = 0;  ///< logical capacity; <= retained storage
   std::size_t groups_ = 0;    ///< ceil(capacity_ / kGroupWidth)
-  std::uint64_t epoch_ = 1;   ///< group epochs start at 0, i.e. stale
   std::size_t size_ = 0;
   std::size_t probes_ = 0;
   bool overflowed_ = false;

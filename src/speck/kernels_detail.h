@@ -97,8 +97,14 @@ inline void charge_row_sweep(sim::BlockCost& cost, const KernelContext& ctx,
   group_iterations.assign(static_cast<std::size_t>(groups), 0);
   std::size_t next_group = 0;
 
-  std::vector<index_t>& referenced = ws.referenced_rows();
-  referenced.clear();
+  // Memory cost: every unique referenced row of B is fetched once per block.
+  // A row counts on its first reference in the block, found by stamping it
+  // with the block's round (next_stamp).
+  std::vector<std::uint32_t>& stamps = ws.sweep_stamps();
+  const std::uint32_t stamp = next_stamp(stamps, ws.sweep_stamp_counter(),
+                                         static_cast<std::size_t>(ctx.b->rows()));
+  std::size_t unique_rows = 0;
+  std::size_t words = 0;
   for (const index_t r : rows) {
     const auto a_cols = ctx.a->row_cols(r);
     for (const index_t k : a_cols) {
@@ -107,7 +113,12 @@ inline void charge_row_sweep(sim::BlockCost& cost, const KernelContext& ctx,
       group_iterations[next_group] +=
           ceil_div<std::size_t>(len, static_cast<std::size_t>(group_size));
       next_group = next_group + 1 == static_cast<std::size_t>(groups) ? 0 : next_group + 1;
-      referenced.push_back(k);
+      std::uint32_t& seen = stamps[static_cast<std::size_t>(k)];
+      if (seen != stamp) {
+        seen = stamp;
+        ++unique_rows;
+        words += len;
+      }
     }
     cost.global_coalesced(a_cols.size());                  // A columns
     if (numeric) cost.global_coalesced64(a_cols.size());   // A values
@@ -116,19 +127,9 @@ inline void charge_row_sweep(sim::BlockCost& cost, const KernelContext& ctx,
       *std::max_element(group_iterations.begin(), group_iterations.end());
   cost.lockstep(static_cast<double>(critical_iterations), 10.0);
 
-  // Memory cost: every unique referenced row of B is fetched once per block
-  // (spECK's ordered binning keeps neighbouring rows of A together, so their
-  // overlapping B rows hit in L1/L2 after the first fetch, §4.2 "Binning").
-  std::sort(referenced.begin(), referenced.end());
-  referenced.erase(std::unique(referenced.begin(), referenced.end()),
-                   referenced.end());
-  std::size_t words = 0;
-  for (const index_t k : referenced) {
-    words += static_cast<std::size_t>(ctx.b->row_length(k));
-  }
   const double cache = sim::reuse_cache_factor(*ctx.device, ctx.b->byte_size());
-  cost.global_segmented(words * (ctx.wide_keys ? 2 : 1), referenced.size(), cache);
-  if (numeric) cost.global_segmented(words * 2, referenced.size(), cache);
+  cost.global_segmented(words * (ctx.wide_keys ? 2 : 1), unique_rows, cache);
+  if (numeric) cost.global_segmented(words * 2, unique_rows, cache);
 }
 
 /// Charges hash accumulator activity common to both passes.

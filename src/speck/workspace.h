@@ -6,10 +6,11 @@
 // dominant host cost and belied the paper's claim that the per-row kernels
 // are lean. A KernelWorkspace owns all of it, one workspace per thread-pool
 // worker (ThreadPool::parallel_for guarantees at most one chunk per worker
-// id at a time, so no locking): every buffer is cleared in O(1) (epoch tags
-// on the hash maps, clear() on vectors with retained capacity) and grows
-// monotonically, so after a warm-up pass every block executes without a
-// single heap allocation.
+// id at a time, so no locking): no buffer is cleared in full between blocks
+// (the scratchpad hash map resets only the slots a block claimed; the spill
+// map and the stamp arrays use epoch tags; vectors clear() with retained
+// capacity) and every buffer grows monotonically, so after a warm-up pass
+// every block executes without a single heap allocation.
 //
 // The pool is owned by the Speck instance and survives across multiplies,
 // which is what makes repeated executor/iterative workloads (AMG, Markov
@@ -18,8 +19,10 @@
 // influences results (chunk boundaries are a pure function of the range).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -29,6 +32,21 @@
 #include "speck/hash_acc.h"
 
 namespace speck {
+
+/// Starts a new round over a grow-only stamp array: grows `stamps` to at
+/// least `size` entries (new entries 0, never a live stamp), refills it
+/// when `counter` would wrap, and returns the round's stamp. An entry is
+/// marked in this round iff it equals the returned stamp, so the array is
+/// never cleared between rounds.
+inline std::uint32_t next_stamp(std::vector<std::uint32_t>& stamps,
+                                std::uint32_t& counter, std::size_t size) {
+  if (stamps.size() < size) stamps.resize(size, 0);
+  if (counter == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(stamps.begin(), stamps.end(), 0);
+    counter = 0;
+  }
+  return ++counter;
+}
 
 /// All transient per-block state for one worker thread. Borrow the members
 /// directly; every acquisition clears the buffer but keeps its capacity.
@@ -76,10 +94,15 @@ class KernelWorkspace {
   /// simd::add_u64 after the build.
   std::vector<std::uint64_t>& histogram_stripes() { return histogram_stripes_; }
 
-  /// charge_row_sweep scratch: per-group lockstep iteration counts and the
-  /// unique-referenced-B-row buffer.
+  /// charge_row_sweep scratch: per-group lockstep iteration counts.
   std::vector<std::size_t>& group_iterations() { return group_iterations_; }
-  std::vector<index_t>& referenced_rows() { return referenced_; }
+
+  /// charge_row_sweep's unique-B-row stamps (one round per block, see
+  /// next_stamp), sized to B's row count, and their counter. The counter
+  /// lives here, not in a thread_local, because a workspace may run on
+  /// different threads.
+  std::vector<std::uint32_t>& sweep_stamps() { return sweep_stamps_; }
+  std::uint32_t& sweep_stamp_counter() { return sweep_stamp_counter_; }
 
   /// Dense-accumulator window/cursor/output buffers.
   DenseScratch& dense() { return dense_; }
@@ -100,12 +123,9 @@ class KernelWorkspace {
 
   /// Estimated numeric merge pass: the epoch tag array that makes colmap()
   /// O(1)-resettable per row (an entry is live only when its epoch matches
-  /// the current row's counter). Sized to B's column count by the caller;
-  /// never cleared between rows.
+  /// the current row's stamp, see next_stamp), sized to B's column count,
+  /// and its counter.
   std::vector<std::uint32_t>& estimate_epoch() { return estimate_epoch_; }
-
-  /// Current row counter for estimate_epoch(); the caller increments it per
-  /// row and handles the (practically unreachable) uint32 wrap by refilling.
   std::uint32_t& estimate_epoch_counter() { return estimate_epoch_counter_; }
 
  private:
@@ -119,7 +139,8 @@ class KernelWorkspace {
   std::vector<DeviceHashMap::Entry> bucketed_;
   std::vector<std::uint64_t> histogram_stripes_;
   std::vector<std::size_t> group_iterations_;
-  std::vector<index_t> referenced_;
+  std::vector<std::uint32_t> sweep_stamps_;
+  std::uint32_t sweep_stamp_counter_ = 0;
   DenseScratch dense_;
   std::vector<std::uint32_t> colmap_;
   std::vector<value_t> replay_values_;

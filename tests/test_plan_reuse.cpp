@@ -216,6 +216,50 @@ TEST(PlanReuse, SignedZerosReplayBitwiseInEveryRowMethod) {
   }
 }
 
+TEST(PlanReuse, SignedZerosReplayBitwiseAfterHashSpill) {
+  // A hash row that spills moves its slots into the global map and keeps
+  // accumulating there. New keys in both maps must take their first product
+  // as-is, so a slot whose products are all -0.0 stays -0.0 like it does in
+  // the replay.
+  static constexpr value_t kValues[] = {-0.0, 0.0, -1.0, 1.0};
+  const auto unit_values = [](const Csr& m, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    Csr out = m;
+    for (value_t& v : out.values_mutable()) v = kValues[rng.next_below(4)];
+    return out;
+  };
+  const Csr pattern = gen::power_law(400, 400, 10, 1.7, 200, 2161);
+  SpeckConfig cfg;
+  cfg.planning = PlanningMode::kExact;
+  cfg.plan_cache = false;
+  cfg.faults.hash_overflow_after = 8;
+  cfg.faults.scratchpad_scale = 0.25;
+  cfg.faults.estimate_scale = 0.25;
+  Speck planner(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+  const SpeckPlan plan = planner.plan(pattern, pattern);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  for (const std::uint64_t seed : {2163u, 2165u}) {
+    SCOPED_TRACE(seed);
+    const Csr a = unit_values(pattern, seed);
+    const Csr b = unit_values(pattern, seed + 1);
+    Speck reference(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+    const SpGemmResult full = reference.multiply(a, b);
+    ASSERT_TRUE(full.ok()) << full.failure_reason;
+    EXPECT_GT(reference.last_diagnostics().numeric.global_hash_blocks, 0)
+        << "the faults must drive hash rows into the global map";
+    std::size_t negative_zeros = 0;
+    for (const value_t v : full.c.values()) {
+      if (v == 0.0 && std::signbit(v)) ++negative_zeros;
+    }
+    EXPECT_GT(negative_zeros, 0u);
+
+    const SpGemmResult replay = planner.multiply_with_plan(plan, a, b);
+    ASSERT_TRUE(replay.ok()) << replay.failure_reason;
+    EXPECT_FALSE(planner.last_diagnostics().plan_fallback);
+    EXPECT_TRUE(same_bytes(replay.c.values(), full.c.values()));
+  }
+}
+
 TEST(PlanReuse, ColumnMapCarriesNothingBetweenMaskedAndUnmaskedReplays) {
   // Both plans replay on this thread and share its column map: a stale
   // entry left by the unmasked plan would let the masked plan keep an

@@ -338,8 +338,8 @@ TEST(SimdHashMap, AccumulateEquivalentAcrossReconfigureCycles) {
     DeviceHashMap scalar_map;
     DeviceHashMap vector_map;
     vector_map.set_backend(backend);
-    // Reuse one map across shrinking/growing capacities — the epoch-reset
-    // path must keep the two in lockstep.
+    // Reuse one map across shrinking/growing capacities — the used-slot
+    // reset must keep the two in lockstep.
     for (const std::size_t capacity : {64u, 16u, 100u, 17u, 1000u, 33u}) {
       SCOPED_TRACE(capacity);
       scalar_map.reconfigure(capacity);

@@ -1,22 +1,31 @@
-// The zero-allocation hot path: FlatSpillMap semantics, epoch-tagged map
-// reuse, accumulator begin_block() equivalence, steady-state allocation
-// accounting, and the headline guarantee that per-worker workspace reuse
-// keeps CSR output, simulated seconds and every PassStats counter
-// bit-identical across thread counts — including under forced spill.
+// The zero-allocation hot path: FlatSpillMap semantics, DeviceHashMap reuse
+// against fresh maps, accumulator begin_block() equivalence, the row sweep's
+// unique-row stamps, steady-state allocation accounting, and the headline
+// guarantee that per-worker workspace reuse keeps CSR output, simulated
+// seconds and every PassStats counter bit-identical across thread counts —
+// including under forced spill.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <new>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_counter.h"
 #include "common/fault_injection.h"
+#include "common/prng.h"
 #include "gen/corpus.h"
+#include "gen/generators.h"
 #include "speck/flat_map.h"
 #include "speck/hash_acc.h"
 #include "speck/hash_map.h"
+#include "speck/kernels_detail.h"
 #include "speck/speck.h"
 #include "speck/workspace.h"
 
@@ -100,7 +109,7 @@ TEST(FlatSpillMap, ClearedMapAllocatesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// DeviceHashMap epoch reuse
+// DeviceHashMap reuse
 
 TEST(DeviceHashMapReuse, ReconfigureBehavesLikeFreshMap) {
   // A map that shrank logically (capacity 64 -> 16) must probe exactly like
@@ -146,6 +155,106 @@ TEST(DeviceHashMapReuse, ExtractIntoAppendsInSlotOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].key, reference[i].key);
     EXPECT_EQ(out[i].value, reference[i].value);
+  }
+}
+
+/// One DeviceHashMap operation of the differential test.
+struct MapOp {
+  enum Kind { kReconfigure, kReset, kInsert, kAccumulate, kSeed, kAddIfPresent, kLookup };
+  Kind kind;
+  std::size_t capacity;  ///< kReconfigure only
+  key64_t key;
+  value_t value;
+};
+
+/// Applies `op`; returns its bool result and, for lookups, the value read
+/// (else 0.0). Reconfigure and reset report false.
+std::pair<bool, value_t> apply(DeviceHashMap& map, const MapOp& op) {
+  value_t read = 0.0;
+  switch (op.kind) {
+    case MapOp::kReconfigure: map.reconfigure(op.capacity); return {false, read};
+    case MapOp::kReset: map.reset(); return {false, read};
+    case MapOp::kInsert: return {map.insert_key(op.key), read};
+    case MapOp::kAccumulate: return {map.accumulate(op.key, op.value), read};
+    case MapOp::kSeed: return {map.seed_key(op.key), read};
+    case MapOp::kAddIfPresent: return {map.accumulate_if_present(op.key, op.value), read};
+    case MapOp::kLookup: {
+      const bool hit = map.lookup_touched(op.key, &read);
+      return {hit, read};
+    }
+  }
+  return {false, read};
+}
+
+/// for_each's visit sequence with bitwise values (-0.0 differs from +0.0).
+std::vector<std::pair<key64_t, std::uint64_t>> visits(const DeviceHashMap& map) {
+  std::vector<std::pair<key64_t, std::uint64_t>> out;
+  map.for_each([&](key64_t key, value_t value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    out.emplace_back(key, bits);
+  });
+  return out;
+}
+
+TEST(DeviceHashMapReuse, RandomOperationsMatchAFreshMapOnEveryBackend) {
+  // One long-lived map takes random reconfigures (shrinking and growing),
+  // resets, inserts and masked operations. After every step a fresh map
+  // replays the ops since the last reconfigure and must agree on the
+  // result, the probe count, the contents and their slot order. A segment
+  // between resets is either numeric (insert / accumulate) or masked
+  // (seed / accumulate-if-present / lookup), as in the accumulators.
+  static constexpr std::size_t kCapacities[] = {1, 3, 15, 16, 17, 40, 64, 100, 250};
+  static constexpr value_t kValues[] = {-0.0, 0.0, 0.5, -1.0, 3.0};
+  std::vector<SimdBackend> backends = {SimdBackend::kScalar};
+  for (const SimdBackend b : {SimdBackend::kSse, SimdBackend::kAvx2, SimdBackend::kNeon}) {
+    if (simd::backend_available(b)) backends.push_back(b);
+  }
+  for (const SimdBackend backend : backends) {
+    SCOPED_TRACE(simd::backend_name(backend));
+    Xoshiro256 rng(7301);
+    DeviceHashMap reused;
+    reused.set_backend(backend);
+    std::vector<MapOp> segment;  // ops since the last reconfigure
+    bool masked = false;
+    for (int step = 0; step < 3000; ++step) {
+      MapOp op{};
+      const std::uint64_t roll = rng.next_below(100);
+      if (step == 0 || roll < 3) {
+        op.kind = MapOp::kReconfigure;
+        op.capacity = kCapacities[rng.next_below(std::size(kCapacities))];
+        segment.clear();
+        masked = rng.next_below(2) == 0;
+      } else if (roll < 6) {
+        op.kind = MapOp::kReset;
+        masked = rng.next_below(2) == 0;
+      } else {
+        const std::size_t capacity = segment.front().capacity;
+        op.key = compound_key(static_cast<int>(rng.next_below(4)),
+                              static_cast<index_t>(rng.next_below(2 * capacity + 2)),
+                              /*wide_keys=*/false);
+        op.value = kValues[rng.next_below(std::size(kValues))];
+        const std::uint64_t pick = rng.next_below(masked ? 3 : 2);
+        op.kind = masked ? (pick == 0   ? MapOp::kSeed
+                            : pick == 1 ? MapOp::kAddIfPresent
+                                        : MapOp::kLookup)
+                         : (pick == 0 ? MapOp::kInsert : MapOp::kAccumulate);
+      }
+      segment.push_back(op);
+      const auto got = apply(reused, op);
+
+      DeviceHashMap fresh;
+      fresh.set_backend(backend);
+      std::pair<bool, value_t> want;
+      for (const MapOp& o : segment) want = apply(fresh, o);
+      SCOPED_TRACE("step " + std::to_string(step));
+      ASSERT_EQ(got.first, want.first);
+      ASSERT_EQ(std::memcmp(&got.second, &want.second, sizeof(value_t)), 0);
+      ASSERT_EQ(reused.probes(), fresh.probes());
+      ASSERT_EQ(reused.size(), fresh.size());
+      ASSERT_EQ(reused.overflowed(), fresh.overflowed());
+      ASSERT_EQ(visits(reused), visits(fresh));
+    }
   }
 }
 
@@ -221,6 +330,56 @@ TEST(AccumulatorReuse, WarmAccumulatorBlockIsAllocationFree) {
   acc.extract_into(entries);
   EXPECT_EQ(detail::alloc_events_now(), before);
   EXPECT_EQ(entries.size(), 128u);
+}
+
+// ---------------------------------------------------------------------------
+// Row sweep: the unique-B-row stamps carry nothing between blocks
+
+TEST(RowSweep, ReusedWorkspaceChargesLikeAFreshOne) {
+  // One workspace charges every block of two products over B matrices of
+  // different heights, in turn; each block's cost must equal the one a
+  // fresh workspace charges. The second round starts just below the stamp
+  // wrap, so the refill runs mid-sequence.
+  const sim::DeviceSpec device = sim::DeviceSpec::titan_v();
+  const sim::CostModel model;
+  const Csr b_small = gen::power_law(300, 300, 6, 1.8, 60, 7311);
+  const Csr b_tall = gen::power_law(700, 500, 4, 1.9, 90, 7313);
+  const Csr a_small = gen::power_law(120, 300, 5, 1.8, 80, 7315);
+  const Csr a_tall = gen::power_law(120, 700, 5, 1.8, 80, 7317);
+  struct Product {
+    const Csr* a;
+    const Csr* b;
+  };
+  const Product products[] = {{&a_small, &b_small}, {&a_tall, &b_tall}, {&a_small, &b_small}};
+  std::vector<index_t> order(120);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<index_t>(i);
+
+  for (const std::uint32_t start : {0u, std::numeric_limits<std::uint32_t>::max() - 3}) {
+    SCOPED_TRACE(start);
+    KernelWorkspace reused;
+    reused.sweep_stamp_counter() = start;
+    for (int round = 0; round < 2; ++round) {
+      for (const Product& p : products) {
+        KernelContext ctx;
+        ctx.a = p.a;
+        ctx.b = p.b;
+        ctx.device = &device;
+        for (std::size_t begin = 0; begin < order.size(); begin += 7) {
+          const std::span<const index_t> rows(
+              order.data() + begin, std::min<std::size_t>(7, order.size() - begin));
+          const bool numeric = begin % 2 == 0;
+          sim::BlockCost got(256, 48u << 10, model);
+          detail::charge_row_sweep(got, ctx, rows, 8, numeric, reused);
+          KernelWorkspace fresh;
+          sim::BlockCost want(256, 48u << 10, model);
+          detail::charge_row_sweep(want, ctx, rows, 8, numeric, fresh);
+          ASSERT_EQ(got.cycles(), want.cycles()) << "block at row " << begin;
+          ASSERT_EQ(got.global_transactions(), want.global_transactions())
+              << "block at row " << begin;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
