@@ -2,6 +2,6 @@
 
 namespace speck::detail {
 
-thread_local std::size_t thread_alloc_events = 0;
+constinit thread_local std::size_t thread_alloc_events = 0;
 
 }  // namespace speck::detail

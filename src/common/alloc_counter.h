@@ -18,7 +18,11 @@ namespace speck::detail {
 
 /// Heap allocations observed on the current thread. Incremented by binaries
 /// that install a counting operator new; read by the kernel passes.
-extern thread_local std::size_t thread_alloc_events;
+/// `constinit` tells every translation unit that the variable needs no
+/// dynamic initialization, so accesses read the thread's slot directly
+/// instead of going through a TLS init wrapper — the wrapper is what an
+/// optimized UBSan build reported as a null load.
+extern thread_local constinit std::size_t thread_alloc_events;
 
 inline std::size_t alloc_events_now() { return thread_alloc_events; }
 

@@ -556,73 +556,6 @@ inline void widen_i32_to_i64(const std::int32_t* src, std::int64_t* dst,
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise 64-bit add: merging striped counting-sort histograms (the
-// stripes break the store-to-load dependency carried through a single
-// histogram when consecutive entries hit the same bucket). Integer addition
-// is associative and the merge order is fixed, so every backend is
-// bit-identical to the scalar reference.
-// ---------------------------------------------------------------------------
-
-/// dst[i] += src[i] for i in [0, n).
-inline void add_u64_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-#if defined(SPECK_SIMD_X86)
-inline void add_u64_sse(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_add_epi64(a, b));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-[[gnu::target("avx2")]] inline void add_u64_avx2(std::uint64_t* dst,
-                                                 const std::uint64_t* src,
-                                                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_add_epi64(a, b));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-#endif  // SPECK_SIMD_X86
-
-#if defined(SPECK_SIMD_NEON)
-inline void add_u64_neon(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vaddq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-#endif  // SPECK_SIMD_NEON
-
-/// Dispatching elementwise 64-bit add. `backend` must be resolved.
-inline void add_u64(std::uint64_t* dst, const std::uint64_t* src, std::size_t n,
-                    SimdBackend backend) {
-#if defined(SPECK_SIMD_X86)
-  if (backend == SimdBackend::kAvx2) return add_u64_avx2(dst, src, n);
-  if (backend != SimdBackend::kScalar) return add_u64_sse(dst, src, n);
-#elif defined(SPECK_SIMD_NEON)
-  if (backend != SimdBackend::kScalar) return add_u64_neon(dst, src, n);
-#else
-  (void)backend;
-#endif
-  return add_u64_scalar(dst, src, n);
-}
-
-// ---------------------------------------------------------------------------
 // Masked dense-window gather: the extraction step of the masked SpGEMM dense
 // path. A dense accumulation window covers columns [base, base + window); for
 // each mask column cols[i] inside that range the primitive reads the window

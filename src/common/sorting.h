@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bit_utils.h"
@@ -98,6 +100,58 @@ void radix_sort_pairs(std::vector<K>& keys, std::vector<V>& values,
     keys.swap(key_buffer);
     values.swap(value_buffer);
   }
+}
+
+/// Record count up to which radix_sort_records uses insertion sort.
+inline constexpr std::size_t kRadixSortSmall = 32;
+
+/// Least-significant-digit radix sort of records by an unsigned key,
+/// 8 bits per pass, ping-ponging between `records` and `scratch`. Stable.
+/// Digits on which every key agrees are skipped, so keys that span few bits
+/// take few passes whatever their width. Returns the sorted records, which
+/// end up in either buffer; both keep their capacity across calls.
+template <typename T, typename KeyFn>
+std::span<const T> radix_sort_records(std::vector<T>& records,
+                                      std::vector<T>& scratch, KeyFn key) {
+  using K = std::invoke_result_t<KeyFn, const T&>;
+  static_assert(std::is_unsigned_v<K>, "radix sort requires unsigned keys");
+  const std::size_t n = records.size();
+  if (n <= kRadixSortSmall) {
+    // Below this size a digit pass's bucket bookkeeping costs more than
+    // insertion sort's moves.
+    for (std::size_t i = 1; i < n; ++i) {
+      const T r = records[i];
+      std::size_t j = i;
+      for (; j > 0 && key(r) < key(records[j - 1]); --j) records[j] = records[j - 1];
+      records[j] = r;
+    }
+    return records;
+  }
+  K any_set = 0;
+  K all_set = ~K{0};
+  for (const T& r : records) {
+    any_set |= key(r);
+    all_set &= key(r);
+  }
+  const K varying = any_set & ~all_set;
+  scratch.resize(n);
+  T* src = records.data();
+  T* dst = scratch.data();
+  constexpr int kBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
+  std::size_t bucket_start[kBuckets];
+  for (int shift = 0; shift < static_cast<int>(sizeof(K) * 8); shift += kBits) {
+    if (((varying >> shift) & (kBuckets - 1)) == 0) continue;
+    std::fill(std::begin(bucket_start), std::end(bucket_start), 0);
+    for (std::size_t i = 0; i < n; ++i) ++bucket_start[(key(src[i]) >> shift) & (kBuckets - 1)];
+    std::size_t sum = 0;
+    for (std::size_t& start : bucket_start) sum += std::exchange(start, sum);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[bucket_start[(key(src[i]) >> shift) & (kBuckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return {src, n};
 }
 
 /// Number of radix passes the device sort would execute for the given key

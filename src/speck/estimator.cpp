@@ -1,12 +1,12 @@
 #include "speck/estimator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <optional>
 
 #include "common/bit_utils.h"
 #include "common/prng.h"
+#include "common/sorting.h"
 #include "speck/hash_map.h"
 #include "speck/kernels_detail.h"
 
@@ -20,6 +20,10 @@ double distinct_columns(double products, double n, double log_keep) {
   if (products <= 0.0 || n <= 0.0) return 0.0;
   return -n * std::expm1(products * log_keep);
 }
+
+/// Window slots per entry up to which a hash row's extraction scans its
+/// column window rather than radix-sorting its entries.
+constexpr std::size_t kScanPerEntry = 4;
 
 /// Merges one row of C into `dst_cols`/`dst_vals` (capacity `cap` slots) via
 /// the worker's column-scatter map, returning the row's *actual* NNZ — the
@@ -94,18 +98,14 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
     // Extraction strategy is pure perf — both paths emit the identical
     // ascending-column permutation of the fully accumulated slot values.
     // Dense rows always scan their window (mirroring the exact dense
-    // kernel); hash rows scan too when the row's exact column range is
-    // narrow enough that a linear sweep beats sorting — the usual case on
-    // banded matrices, where first-touch order is nearly sorted already but
-    // std::sort still pays its full comparison bill.
+    // kernel); hash rows scan too when the row's exact column range is at
+    // most kScanPerEntry slots per entry — the usual case on banded
+    // matrices — and radix-sort their entries otherwise.
     const auto ri = static_cast<std::size_t>(r);
     const auto lo = static_cast<std::size_t>(ctx.analysis->col_min[ri]);
     const auto hi = static_cast<std::size_t>(ctx.analysis->col_max[ri]);
     const std::size_t window = hi - lo + 1;
-    const std::size_t sort_cost =
-        static_cast<std::size_t>(actual) *
-        static_cast<std::size_t>(std::bit_width(static_cast<std::size_t>(actual)));
-    if (dense || window <= 4 * sort_cost) {
+    if (dense || window <= kScanPerEntry * entries.size()) {
       for (std::size_t i = 0; i < entries.size(); ++i) {
         entries[i].value = dst_vals[i];
       }
@@ -126,11 +126,11 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
             static_cast<key64_t>(static_cast<std::uint32_t>(dst_cols[i])),
             dst_vals[i]};
       }
-      std::sort(entries.begin(), entries.end(),
-                [](const auto& x, const auto& y) { return x.key < y.key; });
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        dst_cols[i] = static_cast<index_t>(entries[i].key);
-        dst_vals[i] = entries[i].value;
+      const std::span<const DeviceHashMap::Entry> sorted = radix_sort_records(
+          entries, ws.sort_scratch(), [](const auto& e) { return e.key; });
+      for (std::size_t i = 0; i < sorted.size(); ++i) {
+        dst_cols[i] = static_cast<index_t>(sorted[i].key);
+        dst_vals[i] = sorted[i].value;
       }
     }
   }

@@ -75,22 +75,21 @@ DeviceHashMap::Probe DeviceHashMap::probe_groups(key64_t key, std::size_t start,
   return Probe{kNoSlot, false};
 }
 
-bool DeviceHashMap::insert_key(key64_t key) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
+std::size_t DeviceHashMap::insert_key_from(key64_t key, std::size_t start,
+                                           std::uint8_t tag) {
+  const Probe p = probe(key, start, tag);
   if (p.index == kNoSlot) {
     overflowed_ = true;
-    return false;
+    return kNoSlot;
   }
-  if (p.found) return false;
-  claim(p.index, key, hash_tag(h));
-  vals_[p.index] = 0.0;
-  return true;
+  if (p.found) return kNoSlot;
+  claim(p.index, key, tag);
+  return p.index;
 }
 
-bool DeviceHashMap::accumulate(key64_t key, value_t value) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
+bool DeviceHashMap::accumulate_from(key64_t key, value_t value,
+                                    std::size_t start, std::uint8_t tag) {
+  const Probe p = probe(key, start, tag);
   if (p.index == kNoSlot) {
     overflowed_ = true;
     return false;
@@ -99,7 +98,7 @@ bool DeviceHashMap::accumulate(key64_t key, value_t value) {
     vals_[p.index] += value;
     return true;
   }
-  claim(p.index, key, hash_tag(h));
+  claim(p.index, key, tag);
   vals_[p.index] = value;
   return true;
 }

@@ -45,7 +45,10 @@ inline int key_local_row(key64_t key, bool wide_keys) {
 /// logical probe sequence (multiplicative hash modulo the logical capacity,
 /// +1 linear steps) and account the same probe count — the number of slots a
 /// one-at-a-time scan would visit — so contents, insertion order, and every
-/// PassStats counter are bit-identical across backends.
+/// PassStats counter are bit-identical across backends. Most probes stop on
+/// their home slot, so insert_key, accumulate and accumulate_if_present
+/// settle that case inline (one byte compare, one probe counted) and call
+/// out of line only for a longer walk.
 ///
 /// Control bytes are always valid: `reconfigure()` keeps every byte below
 /// the logical capacity kEmpty or a tag and pads the last group with
@@ -78,14 +81,56 @@ class DeviceHashMap {
   void set_backend(SimdBackend backend) { backend_ = backend; }
   SimdBackend backend() const { return backend_; }
 
-  /// Symbolic insert: adds the key if absent. Returns true when the key was
-  /// new. Returns false with `overflow()` set when the map is full and the
-  /// key absent.
-  bool insert_key(key64_t key);
+  /// Symbolic insert: adds the key if absent, with value 0.0. Returns true
+  /// when the key was new. Returns false with `overflow()` set when the map
+  /// is full and the key absent. `kZeroValue = false` leaves a new slot's
+  /// value unset, for callers that never read values (the symbolic
+  /// accumulator). Inline like accumulate(): a probe that stops on its home
+  /// slot costs one byte compare.
+  template <bool kZeroValue = true>
+  bool insert_key(key64_t key) {
+    const std::uint64_t h = key * kHashPrime;
+    const std::size_t start = hash_slot(h);
+    const std::uint8_t tag = hash_tag(h);
+    const std::uint8_t c = ctrl_[start];
+    std::size_t slot;
+    if (c == kCtrlEmpty) {
+      ++probes_;
+      claim(start, key, tag);
+      slot = start;
+    } else if (c == tag && keys_[start] == key) {
+      ++probes_;
+      return false;
+    } else {
+      slot = insert_key_from(key, start, tag);
+      if (slot == kNoSlot) return false;
+    }
+    if constexpr (kZeroValue) vals_[slot] = 0.0;
+    return true;
+  }
 
   /// Numeric insert: accumulates `value` into the slot for `key`,
-  /// creating it if needed. Returns false on overflow.
-  bool accumulate(key64_t key, value_t value);
+  /// creating it if needed. Returns false on overflow. The home-slot cases
+  /// (claim an empty slot, add into a match) are settled inline with one
+  /// probe each; every other probe walks out of line from the home slot.
+  bool accumulate(key64_t key, value_t value) {
+    const std::uint64_t h = key * kHashPrime;
+    const std::size_t start = hash_slot(h);
+    const std::uint8_t tag = hash_tag(h);
+    const std::uint8_t c = ctrl_[start];
+    if (c == kCtrlEmpty) {
+      ++probes_;
+      claim(start, key, tag);
+      vals_[start] = value;
+      return true;
+    }
+    if (c == tag && keys_[start] == key) {
+      ++probes_;
+      vals_[start] += value;
+      return true;
+    }
+    return accumulate_from(key, value, start, tag);
+  }
 
   /// Masked-insert mode: pre-seeds `key` as an admissible slot (value zero,
   /// untouched). Same probe, tag and overflow semantics as insert_key, so
@@ -209,7 +254,13 @@ class DeviceHashMap {
   }
   Probe probe_scalar(key64_t key, std::size_t start, std::uint8_t tag);
   Probe probe_groups(key64_t key, std::size_t start, std::uint8_t tag);
-  /// accumulate_if_present past its inline empty-home-slot check.
+  /// The out-of-line probe walks from the home slot `start`, past the
+  /// inline home-slot checks (the walk re-reads the home slot, so probe
+  /// counts equal a walk from scratch). insert_key_from returns the claimed
+  /// slot, or kNoSlot when the key was present or the map overflowed.
+  std::size_t insert_key_from(key64_t key, std::size_t start, std::uint8_t tag);
+  bool accumulate_from(key64_t key, value_t value, std::size_t start,
+                       std::uint8_t tag);
   bool accumulate_if_present_from(key64_t key, value_t value, std::size_t start,
                                   std::uint8_t tag);
 

@@ -176,79 +176,38 @@ sim::BlockCost run_numeric_block(const KernelContext& ctx,
       }
     }
   }
-  // Extraction: counting-sort the entries into per-local-row segments
-  // (replaces the former vector-of-vectors bucketing), then sort each
-  // segment by key. Keys are unique, so the result does not depend on the
-  // maps' iteration order.
+  // Extraction: one radix sort by compound key. The local row sits above
+  // the column bits, so the sorted entries are the block's C rows in
+  // order, each sorted by column. Keys are unique, so the result does not
+  // depend on the maps' iteration order.
   std::vector<DeviceHashMap::Entry>& entries = ws.entries();
   acc.extract_into(entries);
-  std::vector<std::size_t>& row_start = ws.row_starts();
-  row_start.assign(rows.size() + 1, 0);
-  // Striped histogram build: skewed rows put long runs of identical buckets
-  // in `entries`, and a single histogram then serializes on the same
-  // store-to-load address. Four sub-histograms take every fourth entry and
-  // are merged with a vectorized element-wise add — integer additions in a
-  // fixed order, so the counts (and everything downstream) are bit-identical
-  // to the single-histogram loop this replaces.
-  constexpr std::size_t kHistogramStripes = 4;
-  const std::size_t hist_width = rows.size() + 1;
+  const std::span<const DeviceHashMap::Entry> sorted = radix_sort_records(
+      entries, ws.sort_scratch(), [](const auto& e) { return e.key; });
   const auto local_row_of = [&](std::size_t e) {
-    return static_cast<std::size_t>(key_local_row(entries[e].key, ctx.wide_keys));
+    return static_cast<std::size_t>(key_local_row(sorted[e].key, ctx.wide_keys));
   };
-  std::vector<std::uint64_t>& stripes = ws.histogram_stripes();
-  stripes.assign((kHistogramStripes - 1) * hist_width, 0);
-  {
-    std::size_t e = 0;
-    for (; e + kHistogramStripes <= entries.size(); e += kHistogramStripes) {
-      ++row_start[local_row_of(e) + 1];
-      ++stripes[0 * hist_width + local_row_of(e + 1) + 1];
-      ++stripes[1 * hist_width + local_row_of(e + 2) + 1];
-      ++stripes[2 * hist_width + local_row_of(e + 3) + 1];
-    }
-    for (; e < entries.size(); ++e) ++row_start[local_row_of(e) + 1];
-  }
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-  for (std::size_t s = 0; s + 1 < kHistogramStripes; ++s) {
-    simd::add_u64(reinterpret_cast<std::uint64_t*>(row_start.data()),
-                  stripes.data() + s * hist_width, hist_width, ctx.simd);
-  }
-  inclusive_prefix_sum(std::span<std::size_t>(row_start.data() + 1, rows.size()),
-                       ctx.simd);
-  std::vector<std::size_t>& row_cursor = ws.row_cursors();
-  row_cursor.assign(row_start.begin(), row_start.end());
-  std::vector<DeviceHashMap::Entry>& bucketed = ws.bucketed_entries();
-  bucketed.resize(entries.size());
-  constexpr std::size_t kScatterPrefetch = 8;
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    if (prefetch_gathers && e + kScatterPrefetch < entries.size()) {
-      // Data-dependent scatter destination; touch the line ahead of time.
-      const auto ahead = static_cast<std::size_t>(
-          key_local_row(entries[e + kScatterPrefetch].key, ctx.wide_keys));
-      simd::prefetch(bucketed.data() + row_cursor[ahead]);
-    }
-    const auto local = static_cast<std::size_t>(
-        key_local_row(entries[e].key, ctx.wide_keys));
-    bucketed[row_cursor[local]++] = entries[e];
-  }
+  std::size_t row_begin = 0;
   for (std::size_t local = 0; local < rows.size(); ++local) {
-    const index_t r = rows[local];
-    const auto row_begin = bucketed.begin() +
-                           static_cast<std::ptrdiff_t>(row_start[local]);
-    const auto row_end = bucketed.begin() +
-                         static_cast<std::ptrdiff_t>(row_start[local + 1]);
-    std::sort(row_begin, row_end,
-              [](const auto& x, const auto& y) { return x.key < y.key; });
-    SPECK_ASSERT(static_cast<index_t>(row_end - row_begin) ==
-                     row_nnz[static_cast<std::size_t>(r)],
+    const auto r = static_cast<std::size_t>(rows[local]);
+    const auto row_end = row_begin + static_cast<std::size_t>(row_nnz[r]);
+    // The row's entries are exactly [row_begin, row_end): the earlier rows
+    // end at row_begin, so the last entry's row and the next one's bound it.
+    SPECK_ASSERT(row_end <= sorted.size() &&
+                     (row_end == row_begin || local_row_of(row_end - 1) == local) &&
+                     (row_end == sorted.size() || local_row_of(row_end) > local),
                  "hash numeric row count disagrees with symbolic pass");
-    auto cursor = static_cast<std::size_t>(offsets[static_cast<std::size_t>(r)]);
-    for (auto it = row_begin; it != row_end; ++it) {
-      out_cols[cursor] = key_column(it->key, ctx.wide_keys);
-      out_vals[cursor] = it->value;
+    auto cursor = static_cast<std::size_t>(offsets[r]);
+    for (std::size_t e = row_begin; e < row_end; ++e) {
+      out_cols[cursor] = key_column(sorted[e].key, ctx.wide_keys);
+      out_vals[cursor] = sorted[e].value;
       ++cursor;
     }
+    row_begin = row_end;
     ++stats.hash_rows;
   }
+  SPECK_ASSERT(row_begin == sorted.size(),
+               "hash numeric entries outside the block's rows");
   charge_row_sweep(cost, ctx, rows, lb.group_size, /*numeric=*/true, ws);
   charge_hash_activity(cost, acc, stats);
   const auto total_entries = static_cast<double>(entries.size());

@@ -77,22 +77,10 @@ class KernelWorkspace {
     return masked_;
   }
 
-  /// Per-local-row NNZ counts (symbolic extraction).
-  std::vector<index_t>& row_counts() { return row_counts_; }
-
-  /// Raw (key, value) entries extracted from a numeric accumulator.
+  /// Raw (key, value) entries extracted from a numeric accumulator, and
+  /// the second buffer of the radix sort that orders them by key.
   std::vector<DeviceHashMap::Entry>& entries() { return entries_; }
-
-  /// Counting-sort scratch: per-row segment starts and the row-bucketed
-  /// entry buffer (replaces the per-block vector-of-vectors bucketing).
-  std::vector<std::size_t>& row_starts() { return row_starts_; }
-  std::vector<std::size_t>& row_cursors() { return row_cursors_; }
-  std::vector<DeviceHashMap::Entry>& bucketed_entries() { return bucketed_; }
-
-  /// Striped counting-sort histogram scratch (numeric bucketing): the
-  /// non-primary sub-histograms, merged into row_starts() with
-  /// simd::add_u64 after the build.
-  std::vector<std::uint64_t>& histogram_stripes() { return histogram_stripes_; }
+  std::vector<DeviceHashMap::Entry>& sort_scratch() { return sort_scratch_; }
 
   /// charge_row_sweep scratch: per-group lockstep iteration counts.
   std::vector<std::size_t>& group_iterations() { return group_iterations_; }
@@ -132,12 +120,8 @@ class KernelWorkspace {
   SymbolicHashAccumulator symbolic_;
   NumericHashAccumulator numeric_;
   MaskedNumericAccumulator masked_;
-  std::vector<index_t> row_counts_;
   std::vector<DeviceHashMap::Entry> entries_;
-  std::vector<std::size_t> row_starts_;
-  std::vector<std::size_t> row_cursors_;
-  std::vector<DeviceHashMap::Entry> bucketed_;
-  std::vector<std::uint64_t> histogram_stripes_;
+  std::vector<DeviceHashMap::Entry> sort_scratch_;
   std::vector<std::size_t> group_iterations_;
   std::vector<std::uint32_t> sweep_stamps_;
   std::uint32_t sweep_stamp_counter_ = 0;

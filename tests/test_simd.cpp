@@ -88,23 +88,6 @@ TEST(SimdPrimitives, WidenI32ToI64AgreesWithScalar) {
   }
 }
 
-TEST(SimdPrimitives, AddU64AgreesWithScalar) {
-  Xoshiro256 rng(997);
-  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 250}) {
-    std::vector<std::uint64_t> dst_base(n);
-    std::vector<std::uint64_t> src(n);
-    for (auto& v : dst_base) v = rng.next_u64() >> 1;
-    for (auto& v : src) v = rng.next_u64() >> 1;
-    std::vector<std::uint64_t> want = dst_base;
-    simd::add_u64_scalar(want.data(), src.data(), n);
-    for (const SimdBackend b : vector_backends()) {
-      std::vector<std::uint64_t> got = dst_base;
-      simd::add_u64(got.data(), src.data(), n, b);
-      EXPECT_EQ(got, want) << simd::backend_name(b) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdPrimitives, RadixSortOffsetsBitIdenticalAcrossBackends) {
   // The radix sort's histogram->offsets scan is vectorized; the permutation
   // must stay identical on every backend.

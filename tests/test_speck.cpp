@@ -3,6 +3,9 @@
 // the diagnostics surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/prng.h"
 #include "gen/corpus.h"
 #include "gen/generators.h"
@@ -359,6 +362,83 @@ TEST(SpeckWideKeys, EndToEndBeyond27BitColumns) {
   EXPECT_TRUE(speck.last_diagnostics().wide_keys);
   const auto diff = compare(result.c, gustavson_spgemm(a, b));
   EXPECT_FALSE(diff.has_value()) << diff->description;
+}
+
+TEST(SpeckWideKeys, MergedSpilledBlocksExtractBitwiseLikeGustavson) {
+  // Short rows merge into hash blocks of up to 32 local rows, whose
+  // compound keys carry the local row above 32 column bits (B is wider than
+  // 2^27). Forced spills after 4 entries and quartered scratchpads send the
+  // blocks' entries through the global map too. Each numeric block's one
+  // radix sort over those keys must still emit every row in column order.
+  const index_t wide = (index_t{1} << 27) + 4096;
+  Coo a_coo(600, 300);
+  Coo b_coo(300, wide);
+  Xoshiro256 rng(2113);
+  for (index_t r = 0; r < 600; ++r) {
+    for (int i = 0; i < 3; ++i) {
+      a_coo.add(r, static_cast<index_t>(rng.next_below(300)), rng.next_double(0.5, 2.0));
+    }
+  }
+  for (index_t r = 0; r < 300; ++r) {
+    for (int i = 0; i < 4; ++i) {
+      // Columns below and beyond 2^27, repeated across B rows so products
+      // collide in C.
+      const auto col = static_cast<index_t>(
+          i % 2 == 0 ? rng.next_below(5000)
+                     : (index_t{1} << 27) - 2048 + static_cast<index_t>(rng.next_below(6000)));
+      b_coo.add(r, col, rng.next_double(-2.0, 2.0));
+    }
+  }
+  const Csr a = a_coo.to_csr();
+  const Csr b = b_coo.to_csr();
+  // The oracle runs on B with its columns renumbered densely in order (its
+  // per-worker scratch is as wide as B) and maps them back: an order-keeping
+  // renumbering changes neither the column order nor the summation order.
+  std::vector<index_t> b_cols(b.col_indices().begin(), b.col_indices().end());
+  std::sort(b_cols.begin(), b_cols.end());
+  b_cols.erase(std::unique(b_cols.begin(), b_cols.end()), b_cols.end());
+  const auto dense_col = [&](index_t c) {
+    return static_cast<index_t>(std::lower_bound(b_cols.begin(), b_cols.end(), c) -
+                                b_cols.begin());
+  };
+  Coo narrow_coo(b.rows(), static_cast<index_t>(b_cols.size()));
+  for (index_t r = 0; r < b.rows(); ++r) {
+    for (std::size_t i = 0; i < b.row_cols(r).size(); ++i) {
+      narrow_coo.add(r, dense_col(b.row_cols(r)[i]), b.row_vals(r)[i]);
+    }
+  }
+  const Csr narrow_c = gustavson_spgemm(a, narrow_coo.to_csr());
+  std::vector<index_t> want_cols(narrow_c.col_indices().begin(),
+                                 narrow_c.col_indices().end());
+  for (index_t& c : want_cols) c = b_cols[static_cast<std::size_t>(c)];
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    SpeckConfig config;
+    config.planning = PlanningMode::kExact;
+    config.host_threads = threads;
+    config.faults.hash_overflow_after = 4;
+    config.faults.scratchpad_scale = 0.25;
+    Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, config);
+    const SpGemmResult result = speck.multiply(a, b);
+    ASSERT_TRUE(result.ok()) << result.failure_reason;
+    const SpeckDiagnostics& d = speck.last_diagnostics();
+    EXPECT_TRUE(d.wide_keys);
+    EXPECT_EQ(d.numeric.direct_rows + d.numeric.dense_rows, 0);
+    EXPECT_GT(d.numeric.hash_rows, d.numeric_blocks) << "no merged blocks";
+    EXPECT_GT(d.numeric.global_hash_blocks, 0) << "no spilled blocks";
+    const auto got_offsets = result.c.row_offsets();
+    const auto want_offsets = narrow_c.row_offsets();
+    ASSERT_TRUE(std::equal(got_offsets.begin(), got_offsets.end(),
+                           want_offsets.begin(), want_offsets.end()));
+    const auto got_cols = result.c.col_indices();
+    ASSERT_TRUE(std::equal(got_cols.begin(), got_cols.end(), want_cols.begin(),
+                           want_cols.end()));
+    ASSERT_EQ(result.c.values().size(), narrow_c.values().size());
+    ASSERT_EQ(std::memcmp(result.c.values().data(), narrow_c.values().data(),
+                          narrow_c.values().size_bytes()),
+              0);
+  }
 }
 
 TEST(SpeckDescribe, RoundTripsThroughConfig) {
