@@ -187,11 +187,6 @@ std::size_t FaultInjector::scratchpad_capacity(std::size_t capacity) const {
   return std::max<std::size_t>(1, scaled);
 }
 
-bool FaultInjector::force_hash_overflow(std::size_t entries_held) const {
-  return spec_.hash_overflow_after > 0 &&
-         entries_held >= static_cast<std::size_t>(spec_.hash_overflow_after);
-}
-
 std::size_t FaultInjector::cap_memory(std::size_t device_bytes) const {
   if (spec_.memory_budget_bytes == 0) return device_bytes;
   return std::min(device_bytes, spec_.memory_budget_bytes);

@@ -112,9 +112,6 @@ class FaultInjector {
   /// Scaled scratchpad capacity; clamped to >= 1 slot.
   std::size_t scratchpad_capacity(std::size_t capacity) const;
 
-  /// True when an accumulator holding `entries_held` entries must spill.
-  bool force_hash_overflow(std::size_t entries_held) const;
-
   /// Device memory visible to the memory tracker under the budget cap.
   std::size_t cap_memory(std::size_t device_bytes) const;
 
