@@ -10,7 +10,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   std::printf("Ablation: Algorithm 2 block merge on/off (global LB forced on)\n\n");
   const std::vector<int> widths{24, 10, 10, 9, 13, 13};
   print_row({"matrix", "merge(ms)", "none(ms)", "speedup", "blocks(merge)",

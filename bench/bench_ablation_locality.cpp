@@ -14,7 +14,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   const Csr natural = gen::banded(100000, 120, 12, 901);
   const Csr shuffled = permute_symmetric(natural, random_permutation(100000, 903));
   const Csr restored = permute_symmetric(shuffled, reverse_cuthill_mckee(shuffled));

@@ -77,18 +77,6 @@ std::string format_bytes_mb(std::size_t bytes) {
   return format_double(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
 }
 
-int apply_thread_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") {
-      const int threads = i + 1 < argc ? std::atoi(argv[i + 1]) : 0;
-      SPECK_REQUIRE(threads >= 1, "--threads requires a positive integer");
-      set_global_thread_count(threads);
-      return threads;
-    }
-  }
-  return default_thread_count();
-}
-
 double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -193,7 +181,7 @@ GateArgs::GateArgs(std::vector<int> threads, std::vector<int> quick_threads)
     : threads(std::move(threads)), quick_threads_(std::move(quick_threads)) {}
 
 GateArgs& GateArgs::flag(std::string name, double value, std::optional<double> quick) {
-  flags_.push_back({std::move(name), value, quick, false});
+  flags_.push_back({std::move(name), value, quick, Kind::kReal, {}});
   return *this;
 }
 
@@ -201,7 +189,18 @@ GateArgs& GateArgs::count_flag(std::string name, std::uint64_t value,
                                std::optional<std::uint64_t> quick) {
   std::optional<double> quick_value;
   if (quick) quick_value = static_cast<double>(*quick);
-  flags_.push_back({std::move(name), static_cast<double>(value), quick_value, true});
+  flags_.push_back(
+      {std::move(name), static_cast<double>(value), quick_value, Kind::kCount, {}});
+  return *this;
+}
+
+GateArgs& GateArgs::switch_flag(std::string name) {
+  flags_.push_back({std::move(name), 0.0, {}, Kind::kSwitch, {}});
+  return *this;
+}
+
+GateArgs& GateArgs::text_flag(std::string name) {
+  flags_.push_back({std::move(name), 0.0, {}, Kind::kText, {}});
   return *this;
 }
 
@@ -231,32 +230,48 @@ bool GateArgs::parse(int argc, const char* const* argv) {
   constexpr std::uint64_t kMaxThreads = 1024;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--quick") {
+    if (arg == "--quick" && !quick_threads_.empty()) {
       quick = true;
       threads = quick_threads_;
       for (Flag& f : flags_) f.value = f.quick.value_or(f.value);
       continue;
     }
-    const char* text = i + 1 < argc ? argv[++i] : "";
     const auto f = std::find_if(flags_.begin(), flags_.end(),
                                 [&](const Flag& g) { return g.name == arg; });
+    if (f != flags_.end() && f->kind == Kind::kSwitch) {
+      f->value = 1.0;
+      continue;
+    }
+    const char* text = i + 1 < argc ? argv[++i] : "";
     if (arg == "--threads") {
       const std::optional<double> n = parse_count(text, kMaxThreads);
       if (n && *n >= 1) {
         threads = {static_cast<int>(*n)};
         continue;
       }
+    } else if (f != flags_.end() && f->kind == Kind::kText) {
+      if (*text != '\0') {
+        f->text = text;
+        continue;
+      }
     } else if (f != flags_.end()) {
       const std::optional<double> value =
-          f->whole ? parse_count(text, kMaxCount) : parse_real(text);
+          f->kind == Kind::kCount ? parse_count(text, kMaxCount) : parse_real(text);
       if (value) {
         f->value = *value;
         continue;
       }
     }
-    std::fprintf(stderr, "usage: %s [--quick] [--threads N]", argv[0]);
+    std::fprintf(stderr, "usage: %s%s [--threads N]", argv[0],
+                 quick_threads_.empty() ? "" : " [--quick]");
     for (const Flag& g : flags_) {
-      std::fprintf(stderr, " [%s %g]", g.name.c_str(), g.value);
+      if (g.kind == Kind::kSwitch) {
+        std::fprintf(stderr, " [%s]", g.name.c_str());
+      } else if (g.kind == Kind::kText) {
+        std::fprintf(stderr, " [%s PATH]", g.name.c_str());
+      } else {
+        std::fprintf(stderr, " [%s %g]", g.name.c_str(), g.value);
+      }
     }
     std::fprintf(stderr, "\n");
     return false;
@@ -264,11 +279,30 @@ bool GateArgs::parse(int argc, const char* const* argv) {
   return true;
 }
 
-double GateArgs::get(std::string_view name) const {
+const GateArgs::Flag& GateArgs::find(std::string_view name) const {
   for (const Flag& f : flags_) {
-    if (f.name == name) return f.value;
+    if (f.name == name) return f;
   }
   throw std::logic_error("unregistered bench flag " + std::string(name));
+}
+
+double GateArgs::get(std::string_view name) const { return find(name).value; }
+
+const std::string& GateArgs::text(std::string_view name) const {
+  return find(name).text;
+}
+
+GateArgs report_args() { return GateArgs({default_thread_count()}, {}); }
+
+int apply_report_args(GateArgs& args, int argc, char** argv) {
+  if (!args.parse(argc, argv)) return 0;
+  set_global_thread_count(args.threads.front());
+  return args.threads.front();
+}
+
+int apply_report_args(int argc, char** argv) {
+  GateArgs args = report_args();
+  return apply_report_args(args, argc, argv);
 }
 
 void emit(const std::string& key, double value) {

@@ -50,13 +50,6 @@ std::string format_bytes_mb(std::size_t bytes);
 std::map<std::string, double> best_seconds_per_matrix(
     const std::vector<Measurement>& measurements);
 
-/// Handles the `--threads N` flag shared by the benchmark binaries: resizes
-/// the process-wide host thread pool and returns the thread count now in
-/// effect (the SPECK_THREADS/hardware default when the flag is absent).
-/// Results are bit-identical for every thread count; only host wall-clock
-/// changes.
-int apply_thread_flag(int argc, char** argv);
-
 /// Monotonic clock reading in seconds.
 double steady_seconds();
 
@@ -93,12 +86,15 @@ std::string ascii_chart(const std::vector<std::string>& series_names,
 namespace speck::bench {
 
 /// A gate bench's command line. `--quick` is a switch and `--threads N`
-/// replaces the thread sweep; every other flag takes one value. Flags apply
-/// in order, so a flag after `--quick` overrides its setting. Each bench
-/// registers its own flags:
+/// replaces the thread sweep; every other flag but a switch_flag() takes
+/// one value. Flags apply in order, so a flag after `--quick` overrides its
+/// setting. Each bench registers its own flags:
 ///
 ///   GateArgs args({1, 8}, {1});
 ///   args.count_flag("--iterations", 5).flag("--min-speedup", 2.0);
+///
+/// With no `quick_threads` there is no `--quick`: the report benches'
+/// command line (report_args()).
 class GateArgs {
  public:
   GateArgs(std::vector<int> threads, std::vector<int> quick_threads);
@@ -109,6 +105,10 @@ class GateArgs {
   /// Registers `name N` for a count: a whole number from 0 to 2^53.
   GateArgs& count_flag(std::string name, std::uint64_t value,
                        std::optional<std::uint64_t> quick = {});
+  /// Registers a bare `name`, which get() reads as 1 when given, else 0.
+  GateArgs& switch_flag(std::string name);
+  /// Registers `name TEXT` for a string (a path), read with text().
+  GateArgs& text_flag(std::string name);
 
   /// Parses argv. An unknown flag, a flag without a value, a value that is
   /// not a number, a count that is not a whole number in range, or a
@@ -120,20 +120,36 @@ class GateArgs {
   std::uint64_t count(std::string_view name) const {
     return static_cast<std::uint64_t>(get(name));
   }
+  const std::string& text(std::string_view name) const;
 
   std::vector<int> threads;  ///< thread counts to sweep
   bool quick = false;
 
  private:
+  enum class Kind { kReal, kCount, kSwitch, kText };
   struct Flag {
     std::string name;
     double value;
     std::optional<double> quick;
-    bool whole;  ///< a count_flag()
+    Kind kind;
+    std::string text;  ///< a text_flag()'s value
   };
+  const Flag& find(std::string_view name) const;
   std::vector<Flag> flags_;
   std::vector<int> quick_threads_;
 };
+
+/// A report bench's command line: `--threads N` only, defaulting to
+/// SPECK_THREADS or the hardware. A bench registers its own flags on it.
+GateArgs report_args();
+
+/// Parses a report bench's command line and resizes the process-wide host
+/// pool to its `--threads`. Returns the thread count in effect, or 0 after
+/// printing the usage line (the bench exits 2). Results are bit-identical
+/// for every thread count; only host wall-clock changes.
+int apply_report_args(GateArgs& args, int argc, char** argv);
+/// For a report bench without flags of its own.
+int apply_report_args(int argc, char** argv);
 
 /// `key=value` output lines: numbers as %.6g, counts exact.
 void emit(const std::string& key, double value);

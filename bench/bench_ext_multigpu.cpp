@@ -10,7 +10,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   struct Workload {
     const char* name;
     Csr a;

@@ -16,7 +16,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   const sim::DeviceSpec device = sim::DeviceSpec::titan_v();
   const sim::CostModel model;
   SpeckConfig config;

@@ -8,7 +8,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   const auto corpus = gen::common_corpus();
   SpeckConfig config;
   config.thresholds = reduced_scale_thresholds();

@@ -43,7 +43,8 @@ std::vector<gen::CorpusEntry> workload() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   const auto entries = workload();
   const sim::DeviceSpec device = sim::DeviceSpec::titan_v();
   const sim::CostModel model;

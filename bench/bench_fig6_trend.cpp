@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "bench_common.h"
@@ -13,7 +12,10 @@ using namespace speck;
 using namespace speck::bench;
 
 int main(int argc, char** argv) {
-  const bool per_matrix = argc > 1 && std::strcmp(argv[1], "--per-matrix") == 0;
+  GateArgs args = report_args();
+  args.switch_flag("--per-matrix");
+  if (apply_report_args(args, argc, argv) == 0) return 2;
+  const bool per_matrix = args.get("--per-matrix") != 0.0;
   const auto corpus = gen::evaluation_collection();
   const auto algorithms = baselines::make_all_algorithms(
       sim::DeviceSpec::titan_v(), sim::CostModel{});

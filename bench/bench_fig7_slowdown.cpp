@@ -11,7 +11,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   const auto corpus = gen::evaluation_collection();
   const auto algorithms = baselines::make_all_algorithms(
       sim::DeviceSpec::titan_v(), sim::CostModel{});

@@ -7,7 +7,8 @@
 
 using namespace speck;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   for (const auto& entry : gen::common_corpus()) {
     std::printf("=== %s (%s) ===\n", entry.name.c_str(),
                 entry.a.shape_string().c_str());

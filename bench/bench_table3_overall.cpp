@@ -40,7 +40,10 @@ int main(int argc, char** argv) {
   // Host parallelism: --threads N (default SPECK_THREADS / hardware). The
   // measured *simulated* times are bit-identical at any thread count; only
   // the host wall-clock below changes.
-  const int threads = apply_thread_flag(argc, argv);
+  GateArgs args = report_args();
+  args.text_flag("--csv");
+  const int threads = apply_report_args(args, argc, argv);
+  if (threads == 0) return 2;
   const auto corpus = gen::evaluation_collection();
   const auto algorithms = baselines::make_all_algorithms(
       sim::DeviceSpec::titan_v(), sim::CostModel{});
@@ -48,9 +51,7 @@ int main(int argc, char** argv) {
   const double parallel_wall = wall_seconds(
       [&] { measurements = run_suite(corpus, algorithms); });
   // Optional raw-data export: bench_table3_overall --csv <path>
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--csv") write_csv(argv[i + 1], measurements);
-  }
+  if (!args.text("--csv").empty()) write_csv(args.text("--csv"), measurements);
 
   // Index measurements per matrix.
   std::map<std::string, std::vector<const Measurement*>> by_matrix;

@@ -9,7 +9,8 @@
 using namespace speck;
 using namespace speck::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   std::printf("Table 4: common-matrix corpus statistics\n");
   std::printf("(synthetic stand-ins; paper values are the full-scale originals)\n\n");
   const std::vector<int> widths{14, 9, 9, 10, 12, 10, 11};

@@ -6,7 +6,8 @@
 #include <map>
 #include "bench_common.h"
 using namespace speck; using namespace speck::bench;
-int main(){
+int main(int argc, char** argv) {
+  if (bench::apply_report_args(argc, argv) == 0) return 2;
   auto corpus = gen::evaluation_collection();
   auto algos = baselines::make_all_algorithms(sim::DeviceSpec::titan_v(), sim::CostModel{});
   auto ms = run_suite(corpus, algos, false);

@@ -2,9 +2,9 @@
 // zero-allocation hot-path guarantee.
 //
 // The library itself never counts anything: `thread_alloc_events` only moves
-// when a binary (bench_hotpath, test_workspace) overrides the global
-// operator new/delete to bump it. The symbolic/numeric passes snapshot the
-// counter around every block body and accumulate the delta into
+// when a binary (bench_hotpath, test_workspace) links the counting operator
+// new/delete of common/counting_new.cpp. The symbolic/numeric passes
+// snapshot the counter around every block body and accumulate the delta into
 // `PassStats::hot_path_allocs`, so "allocations per block" is measured over
 // exactly the per-block hot path — not over per-multiply setup such as
 // output buffers or launch bookkeeping. In binaries without the override the
@@ -25,5 +25,19 @@ namespace speck::detail {
 extern thread_local constinit std::size_t thread_alloc_events;
 
 inline std::size_t alloc_events_now() { return thread_alloc_events; }
+
+// Defined only by the counting allocator (common/counting_new.cpp, the CMake
+// object library speck_counting_new): a binary that calls them does not
+// link without it.
+
+/// True when a probe allocation moves this thread's event counter, i.e. the
+/// counting operator new is the one in use, so a 0 from the kernel passes'
+/// hot_path_allocs was measured rather than never counted.
+bool counting_new_live();
+
+/// Bytes this thread allocated through global operator new minus the bytes
+/// it freed, modulo 2^64: only differences between two readings mean
+/// anything.
+std::size_t thread_heap_bytes();
 
 }  // namespace speck::detail

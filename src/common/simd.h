@@ -75,16 +75,6 @@ SimdBackend resolve_backend(SimdBackend choice);
 // resolved backend as an argument so callers hoist the choice out of loops.
 // ---------------------------------------------------------------------------
 
-/// Bit i of the result is set iff group[i] == tag (16 lanes).
-inline std::uint32_t match_mask16_scalar(const std::uint8_t* group,
-                                         std::uint8_t tag) {
-  std::uint32_t mask = 0;
-  for (std::size_t i = 0; i < kGroupWidth; ++i) {
-    mask |= static_cast<std::uint32_t>(group[i] == tag) << i;
-  }
-  return mask;
-}
-
 /// Tag-match and empty-match masks of one control group, derived from a
 /// single 16-byte load (the probe loops need both on every group).
 struct GroupMasks {
@@ -124,14 +114,6 @@ inline std::uint32_t nonzero_mask32_scalar(const std::uint8_t* p) {
 
 #if defined(SPECK_SIMD_X86)
 // SSE2 is part of the x86-64 baseline, so these build without special flags.
-inline std::uint32_t match_mask16_sse(const std::uint8_t* group,
-                                      std::uint8_t tag) {
-  const __m128i g =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(group));
-  const __m128i t = _mm_set1_epi8(static_cast<char>(tag));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(g, t)));
-}
-
 inline GroupMasks group_masks16_sse(const std::uint8_t* group, std::uint8_t tag,
                                     std::uint8_t empty) {
   const __m128i g =
@@ -174,23 +156,11 @@ inline std::uint32_t nonzero_mask32_sse(const std::uint8_t* p) {
 #endif  // SPECK_SIMD_X86
 
 #if defined(SPECK_SIMD_NEON)
-inline std::uint32_t match_mask16_neon(const std::uint8_t* group,
-                                       std::uint8_t tag) {
-  const uint8x16_t eq = vceqq_u8(vld1q_u8(group), vdupq_n_u8(tag));
-  // Narrow each byte lane to one bit: AND with per-lane bit weights, then
-  // pairwise-add down to two bytes of mask.
-  const uint8x16_t weights = {1, 2, 4, 8, 16, 32, 64, 128,
-                              1, 2, 4, 8, 16, 32, 64, 128};
-  const uint8x16_t bits = vandq_u8(eq, weights);
-  const uint8x8_t lo = vget_low_u8(bits);
-  const uint8x8_t hi = vget_high_u8(bits);
-  return static_cast<std::uint32_t>(vaddv_u8(lo)) |
-         (static_cast<std::uint32_t>(vaddv_u8(hi)) << 8);
-}
-
 inline GroupMasks group_masks16_neon(const std::uint8_t* group,
                                      std::uint8_t tag, std::uint8_t empty) {
   const uint8x16_t g = vld1q_u8(group);
+  // Narrow each byte lane to one bit: AND with per-lane bit weights, then
+  // pairwise-add down to two bytes of mask.
   const uint8x16_t weights = {1, 2, 4, 8, 16, 32, 64, 128,
                               1, 2, 4, 8, 16, 32, 64, 128};
   const uint8x16_t tag_bits = vandq_u8(vceqq_u8(g, vdupq_n_u8(tag)), weights);
@@ -228,19 +198,6 @@ inline std::uint32_t nonzero_mask32_neon(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(vaddv_u8(vget_high_u8(bhi))) << 24);
 }
 #endif  // SPECK_SIMD_NEON
-
-/// Dispatching 16-lane control-byte match. `backend` must be resolved.
-inline std::uint32_t match_mask16(const std::uint8_t* group, std::uint8_t tag,
-                                  SimdBackend backend) {
-#if defined(SPECK_SIMD_X86)
-  if (backend != SimdBackend::kScalar) return match_mask16_sse(group, tag);
-#elif defined(SPECK_SIMD_NEON)
-  if (backend != SimdBackend::kScalar) return match_mask16_neon(group, tag);
-#else
-  (void)backend;
-#endif
-  return match_mask16_scalar(group, tag);
-}
 
 /// Dispatching single-load tag+empty group match. `backend` must be resolved.
 inline GroupMasks group_masks16(const std::uint8_t* group, std::uint8_t tag,

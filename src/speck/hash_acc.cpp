@@ -103,24 +103,6 @@ void MaskedNumericAccumulator::begin_block(std::size_t capacity,
   global_inserts_ = 0;
 }
 
-void MaskedNumericAccumulator::seed(key64_t key) {
-  if (!in_global_) {
-    if (local_.size() < local_limit_) {
-      local_.seed_key(key);
-      if (local_.full()) spill();
-      return;
-    }
-    spill();
-  }
-  ++global_inserts_;
-  global_.seed(key);
-}
-
-bool MaskedNumericAccumulator::lookup_touched(key64_t key, value_t* value) {
-  if (!in_global_) return local_.lookup_touched(key, value);
-  return global_.lookup_touched(key, value);
-}
-
 void MaskedNumericAccumulator::spill() {
   in_global_ = true;
   // Only seeds can be in flight here (streaming never inserts), so every

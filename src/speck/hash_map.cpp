@@ -75,46 +75,16 @@ DeviceHashMap::Probe DeviceHashMap::probe_groups(key64_t key, std::size_t start,
   return Probe{kNoSlot, false};
 }
 
-std::size_t DeviceHashMap::insert_key_from(key64_t key, std::size_t start,
-                                           std::uint8_t tag) {
+DeviceHashMap::Probe DeviceHashMap::insert_key_from(key64_t key,
+                                                    std::size_t start,
+                                                    std::uint8_t tag) {
   const Probe p = probe(key, start, tag);
   if (p.index == kNoSlot) {
     overflowed_ = true;
-    return kNoSlot;
+  } else if (!p.found) {
+    claim(p.index, key, tag);
   }
-  if (p.found) return kNoSlot;
-  claim(p.index, key, tag);
-  return p.index;
-}
-
-bool DeviceHashMap::accumulate_from(key64_t key, value_t value,
-                                    std::size_t start, std::uint8_t tag) {
-  const Probe p = probe(key, start, tag);
-  if (p.index == kNoSlot) {
-    overflowed_ = true;
-    return false;
-  }
-  if (p.found) {
-    vals_[p.index] += value;
-    return true;
-  }
-  claim(p.index, key, tag);
-  vals_[p.index] = value;
-  return true;
-}
-
-bool DeviceHashMap::seed_key(key64_t key) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
-  if (p.index == kNoSlot) {
-    overflowed_ = true;
-    return false;
-  }
-  if (p.found) return false;
-  claim(p.index, key, hash_tag(h));
-  vals_[p.index] = 0.0;
-  touched_[p.index] = 0;
-  return true;
+  return p;
 }
 
 bool DeviceHashMap::accumulate_if_present_from(key64_t key, value_t value,
@@ -124,14 +94,6 @@ bool DeviceHashMap::accumulate_if_present_from(key64_t key, value_t value,
   if (p.index == kNoSlot || !p.found) return false;
   vals_[p.index] += value;
   touched_[p.index] = 1;
-  return true;
-}
-
-bool DeviceHashMap::lookup_touched(key64_t key, value_t* value) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
-  if (p.index == kNoSlot || !p.found || touched_[p.index] == 0) return false;
-  *value = vals_[p.index];
   return true;
 }
 
@@ -177,6 +139,7 @@ void DeviceHashMap::reconfigure(std::size_t capacity) {
                 groups_ * simd::kGroupWidth - capacity_);
     std::memset(ctrl_.data() + capacity, kCtrlSentinel, slots - capacity);
     capacity_ = capacity;
+    magic_ = remainder_magic(capacity);
     groups_ = groups;
   }
   probes_ = 0;

@@ -33,6 +33,27 @@ inline int key_local_row(key64_t key, bool wide_keys) {
   return wide_keys ? static_cast<int>(key >> 32) : static_cast<int>(key >> 27);
 }
 
+/// `magic` for remainder_by_magic(): floor((2^128 - 1) / divisor) + 1.
+/// (Divisor 1 wraps to 0, which gives the right remainder, 0.)
+inline unsigned __int128 remainder_magic(std::uint64_t divisor) {
+  return ~static_cast<unsigned __int128>(0) / divisor + 1;
+}
+
+/// `h % divisor` without a division (Lemire, Kaser & Kurz, "Faster
+/// Remainder by Direct Computation", 2019): `magic * h` keeps the 128-bit
+/// fraction of h / divisor, and the top bits of fraction * divisor are the
+/// remainder. Exact for every 64-bit `h` and divisor, since the 128-bit
+/// fraction has at least 64 + log2(divisor) bits.
+inline std::uint64_t remainder_by_magic(std::uint64_t h, unsigned __int128 magic,
+                                        std::uint64_t divisor) {
+  using u128 = unsigned __int128;
+  const u128 fraction = magic * h;
+  const u128 low = (static_cast<u128>(static_cast<std::uint64_t>(fraction)) *
+                    divisor) >> 64;
+  const u128 high = (fraction >> 64) * divisor;
+  return static_cast<std::uint64_t>((high + low) >> 64);
+}
+
 /// Open-addressing hash map with linear probing, modelling a scratchpad
 /// array. Tracks the number of probes performed so the simulated cost
 /// reflects the actual fill rate.
@@ -45,10 +66,15 @@ inline int key_local_row(key64_t key, bool wide_keys) {
 /// logical probe sequence (multiplicative hash modulo the logical capacity,
 /// +1 linear steps) and account the same probe count — the number of slots a
 /// one-at-a-time scan would visit — so contents, insertion order, and every
-/// PassStats counter are bit-identical across backends. Most probes stop on
-/// their home slot, so insert_key, accumulate and accumulate_if_present
-/// settle that case inline (one byte compare, one probe counted) and call
-/// out of line only for a longer walk.
+/// PassStats counter are bit-identical across backends. The home slot is the
+/// paper's remainder, computed by multiplication (remainder_by_magic).
+///
+/// Most probes stop on their home slot. The runners (insert_run,
+/// accumulate_run, accumulate_if_present_run) settle that case in their own
+/// loop over a run of keys — one byte compare, one probe counted — with the
+/// map's arrays and counters held in locals, and call out of line only for
+/// a longer walk. insert_key, accumulate and accumulate_if_present are
+/// one-key runs.
 ///
 /// Control bytes are always valid: `reconfigure()` keeps every byte below
 /// the logical capacity kEmpty or a tag and pads the last group with
@@ -85,77 +111,201 @@ class DeviceHashMap {
   /// when the key was new. Returns false with `overflow()` set when the map
   /// is full and the key absent. `kZeroValue = false` leaves a new slot's
   /// value unset, for callers that never read values (the symbolic
-  /// accumulator). Inline like accumulate(): a probe that stops on its home
-  /// slot costs one byte compare.
+  /// accumulator). A one-key insert_run().
   template <bool kZeroValue = true>
   bool insert_key(key64_t key) {
-    const std::uint64_t h = key * kHashPrime;
-    const std::size_t start = hash_slot(h);
-    const std::uint8_t tag = hash_tag(h);
-    const std::uint8_t c = ctrl_[start];
-    std::size_t slot;
-    if (c == kCtrlEmpty) {
-      ++probes_;
-      claim(start, key, tag);
-      slot = start;
-    } else if (c == tag && keys_[start] == key) {
-      ++probes_;
-      return false;
-    } else {
-      slot = insert_key_from(key, start, tag);
-      if (slot == kNoSlot) return false;
-    }
-    if constexpr (kZeroValue) vals_[slot] = 0.0;
-    return true;
+    std::size_t added = 0;
+    insert_run<kZeroValue>(1, kNoLimit, [key](std::size_t) { return key; }, added);
+    return added != 0;
   }
 
   /// Numeric insert: accumulates `value` into the slot for `key`,
-  /// creating it if needed. Returns false on overflow. The home-slot cases
-  /// (claim an empty slot, add into a match) are settled inline with one
-  /// probe each; every other probe walks out of line from the home slot.
+  /// creating it if needed. Returns false on overflow. A one-key
+  /// accumulate_run().
   bool accumulate(key64_t key, value_t value) {
-    const std::uint64_t h = key * kHashPrime;
-    const std::size_t start = hash_slot(h);
-    const std::uint8_t tag = hash_tag(h);
-    const std::uint8_t c = ctrl_[start];
-    if (c == kCtrlEmpty) {
-      ++probes_;
-      claim(start, key, tag);
-      vals_[start] = value;
-      return true;
-    }
-    if (c == tag && keys_[start] == key) {
-      ++probes_;
-      vals_[start] += value;
-      return true;
-    }
-    return accumulate_from(key, value, start, tag);
+    return accumulate_run(1, kNoLimit, [key](std::size_t) { return key; },
+                          [value](std::size_t) { return value; }) != 0;
   }
 
   /// Masked-insert mode: pre-seeds `key` as an admissible slot (value zero,
   /// untouched). Same probe, tag and overflow semantics as insert_key, so
-  /// seeded maps behave exactly like symbolically-built ones.
-  bool seed_key(key64_t key);
+  /// seeded maps behave exactly like symbolically-built ones. A one-key
+  /// seed_run().
+  bool seed_key(key64_t key) {
+    std::size_t added = 0;
+    seed_run(1, kNoLimit, [key](std::size_t) { return key; }, added);
+    return added != 0;
+  }
 
   /// Masked accumulate: adds into `key`'s slot only when it was seeded,
   /// marking it touched. A miss (non-mask column) is a no-op — no slot is
-  /// claimed — but its probe walk is still counted like any other. Most
-  /// masked misses land on an empty home slot, so that one-probe case is
-  /// settled inline.
+  /// claimed — but its probe walk is still counted like any other. A
+  /// one-key accumulate_if_present_run().
   bool accumulate_if_present(key64_t key, value_t value) {
-    const std::uint64_t h = key * kHashPrime;
-    const std::size_t start = hash_slot(h);
-    if (ctrl_[start] == kCtrlEmpty) {
-      ++probes_;
-      return false;
+    return accumulate_if_present_run(1, [key](std::size_t) { return key; },
+                                     [value](std::size_t) { return value; }) != 0;
+  }
+
+  /// The multiplier of the home-slot hash: key * kHashPrime mod capacity.
+  static constexpr std::uint64_t kHashPrime = 0x9E3779B97F4A7C15ull;
+
+  /// `limit` for a run that stops only on overflow.
+  static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
+
+  /// Inserts key_at(0), key_at(1), ... in order, like that many insert_key
+  /// calls, while the map holds fewer than `limit` entries. Stops before
+  /// key `n`, before a key that would find `limit` entries, or at a key
+  /// that overflows the full map (its probes counted, `overflowed()` set).
+  /// Returns the keys settled and adds the new ones to `added`.
+  template <bool kZeroValue, typename KeyAt>
+  std::size_t insert_run(std::size_t n, std::size_t limit, KeyAt key_at,
+                         std::size_t& added) {
+    std::size_t fresh = 0;
+    const std::size_t settled = claim_run(
+        n, limit, key_at,
+        [&fresh](value_t* vals, std::size_t slot, std::size_t) {
+          if constexpr (kZeroValue) vals[slot] = 0.0;
+          ++fresh;
+        },
+        [](value_t*, std::size_t, std::size_t) {});
+    added += fresh;
+    return settled;
+  }
+
+  /// Seeds key_at(0), key_at(1), ... in order, like that many seed_key
+  /// calls, with insert_run's stopping rules. Returns the keys settled and
+  /// adds the new ones to `added`.
+  template <typename KeyAt>
+  std::size_t seed_run(std::size_t n, std::size_t limit, KeyAt key_at,
+                       std::size_t& added) {
+    std::uint8_t* const touched = touched_.data();
+    std::size_t fresh = 0;
+    const std::size_t settled = claim_run(
+        n, limit, key_at,
+        [touched, &fresh](value_t* vals, std::size_t slot, std::size_t) {
+          vals[slot] = 0.0;
+          touched[slot] = 0;
+          ++fresh;
+        },
+        [](value_t*, std::size_t, std::size_t) {});
+    added += fresh;
+    return settled;
+  }
+
+  /// Accumulates value_at(i) into key_at(i)'s slot for i = 0, 1, ..., like
+  /// that many accumulate calls, with insert_run's stopping rules. Returns
+  /// the keys settled. value_at(i) is evaluated once, after the probe.
+  template <typename KeyAt, typename ValueAt>
+  std::size_t accumulate_run(std::size_t n, std::size_t limit, KeyAt key_at,
+                             ValueAt value_at) {
+    return claim_run(
+        n, limit, key_at,
+        [&value_at](value_t* vals, std::size_t slot, std::size_t i) {
+          vals[slot] = value_at(i);
+        },
+        [&value_at](value_t* vals, std::size_t slot, std::size_t i) {
+          vals[slot] += value_at(i);
+        });
+  }
+
+  /// Masked accumulate of value_at(i) into key_at(i)'s slot for each
+  /// i < n, like that many accumulate_if_present calls. Returns the keys
+  /// that hit a seeded slot. The run never claims a slot, so the home slots
+  /// of a chunk of keys are computed before any of them is probed, which
+  /// lets their multiplies overlap.
+  template <typename KeyAt, typename ValueAt>
+  std::size_t accumulate_if_present_run(std::size_t n, KeyAt key_at,
+                                        ValueAt value_at) {
+    constexpr std::size_t kChunk = 16;
+    const std::uint8_t* const ctrl = ctrl_.data();
+    const key64_t* const keys = keys_.data();
+    value_t* const vals = vals_.data();
+    std::uint8_t* const touched = touched_.data();
+    const unsigned __int128 magic = magic_;
+    const std::size_t capacity = capacity_;
+    std::size_t probes = probes_;
+    std::size_t hits = 0;
+    std::size_t home[kChunk] = {};
+    for (std::size_t base = 0; base < n; base += kChunk) {
+      const std::size_t len = std::min(kChunk, n - base);
+      for (std::size_t j = 0; j < len; ++j) {
+        home[j] = static_cast<std::size_t>(
+            remainder_by_magic(key_at(base + j) * kHashPrime, magic, capacity));
+      }
+      for (std::size_t j = 0; j < len; ++j) {
+        const std::size_t start = home[j];
+        const std::uint8_t c = ctrl[start];
+        if (c == kCtrlEmpty) {
+          ++probes;
+          continue;
+        }
+        const key64_t key = key_at(base + j);
+        const std::uint8_t tag = hash_tag(key * kHashPrime);
+        if (c == tag && keys[start] == key) {
+          ++probes;
+          vals[start] += value_at(base + j);
+          touched[start] = 1;
+          ++hits;
+          continue;
+        }
+        probes_ = probes;
+        hits += accumulate_if_present_from(key, value_at(base + j), start, tag) ? 1 : 0;
+        probes = probes_;
+      }
     }
-    return accumulate_if_present_from(key, value, start, hash_tag(h));
+    probes_ = probes;
+    return hits;
   }
 
   /// Reads a seeded slot back: true (with the accumulated sum in `*value`)
   /// iff the slot was touched since seeding. Untouched seeds and absent
-  /// keys both report false. The probe walk is counted like any other.
-  bool lookup_touched(key64_t key, value_t* value);
+  /// keys both report false. The probe walk is counted like any other. A
+  /// one-key lookup_run().
+  bool lookup_touched(key64_t key, value_t* value) {
+    bool hit = false;
+    lookup_run(1, [key](std::size_t) { return key; },
+               [&](std::size_t, value_t sum) {
+                 *value = sum;
+                 hit = true;
+               });
+    return hit;
+  }
+
+  /// lookup_touched on key_at(0), key_at(1), ...: calls emit(i, sum) for
+  /// each key that was seeded and touched since, in order.
+  template <typename KeyAt, typename Emit>
+  void lookup_run(std::size_t n, KeyAt key_at, Emit emit) {
+    const std::uint8_t* const ctrl = ctrl_.data();
+    const key64_t* const keys = keys_.data();
+    const value_t* const vals = vals_.data();
+    const std::uint8_t* const touched = touched_.data();
+    const unsigned __int128 magic = magic_;
+    const std::size_t capacity = capacity_;
+    std::size_t probes = probes_;
+    for (std::size_t i = 0; i < n; ++i) {
+      const key64_t key = key_at(i);
+      const std::uint64_t h = key * kHashPrime;
+      const auto start =
+          static_cast<std::size_t>(remainder_by_magic(h, magic, capacity));
+      const std::uint8_t tag = hash_tag(h);
+      const std::uint8_t c = ctrl[start];
+      std::size_t slot = start;
+      if (c == tag && keys[start] == key) {
+        ++probes;
+      } else if (c == kCtrlEmpty) {
+        ++probes;
+        continue;
+      } else {
+        probes_ = probes;
+        const Probe p = probe(key, start, tag);
+        probes = probes_;
+        if (p.index == kNoSlot || !p.found) continue;
+        slot = p.index;
+      }
+      if (touched[slot] != 0) emit(i, vals[slot]);
+    }
+    probes_ = probes;
+  }
 
   bool overflowed() const { return overflowed_; }
 
@@ -221,7 +371,6 @@ class DeviceHashMap {
   /// never matching, so group scans skip it without extra branches).
   static constexpr std::uint8_t kCtrlEmpty = 0x80;
   static constexpr std::uint8_t kCtrlSentinel = 0xFF;
-  static constexpr std::uint64_t kHashPrime = 0x9E3779B97F4A7C15ull;
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   struct Probe {
@@ -231,21 +380,90 @@ class DeviceHashMap {
 
   /// Multiplicative hash (paper: index times a prime, modulo capacity).
   std::size_t hash_slot(std::uint64_t h) const {
-    return static_cast<std::size_t>(h % capacity_);
+    return static_cast<std::size_t>(remainder_by_magic(h, magic_, capacity_));
   }
   /// 7-bit control tag from the hash's top bits (always < kCtrlEmpty).
   static std::uint8_t hash_tag(std::uint64_t h) {
     return static_cast<std::uint8_t>(h >> 57);
   }
 
-  /// Claims the empty slot `index` for `key`: writes its tag and key and
-  /// records it for reset() and for_each(). The caller sets the value.
+  /// The map's arrays and counters, copied into locals by a runner: its
+  /// control-byte stores cannot alias a local, so the compiler keeps them
+  /// in registers instead of reloading the members after every claim.
+  /// commit() writes the counters back before any member function runs.
+  struct Cursor {
+    std::uint8_t* ctrl;
+    key64_t* keys;
+    value_t* vals;
+    std::uint32_t* used;
+    std::uint64_t* group_used;
+    std::size_t size;
+    std::size_t probes;
+
+    /// Claims the empty slot `index` for `key`: writes its tag and key and
+    /// records it for reset() and for_each(). The caller sets the value.
+    void claim(std::size_t index, key64_t key, std::uint8_t tag) {
+      ctrl[index] = tag;
+      keys[index] = key;
+      used[size++] = static_cast<std::uint32_t>(index);
+      const std::size_t g = index / simd::kGroupWidth;
+      group_used[g / 64] |= std::uint64_t{1} << (g % 64);
+    }
+  };
+  Cursor cursor() {
+    return {ctrl_.data(), keys_.data(), vals_.data(), used_.data(),
+            group_used_.data(), size_, probes_};
+  }
+  void commit(const Cursor& m) {
+    size_ = m.size;
+    probes_ = m.probes;
+  }
   void claim(std::size_t index, key64_t key, std::uint8_t tag) {
-    ctrl_[index] = tag;
-    keys_[index] = key;
-    used_[size_++] = static_cast<std::uint32_t>(index);
-    const std::size_t g = index / simd::kGroupWidth;
-    group_used_[g / 64] |= std::uint64_t{1} << (g % 64);
+    Cursor m = cursor();
+    m.claim(index, key, tag);
+    commit(m);
+  }
+
+  /// The home-slot loop behind insert_run and accumulate_run. For key i it
+  /// calls fresh(vals, slot, i) after claiming a slot for an absent key, or
+  /// found(vals, slot, i) on the slot of a present one; `vals` is the local
+  /// copy of the value array.
+  template <typename KeyAt, typename Fresh, typename Found>
+  std::size_t claim_run(std::size_t n, std::size_t limit, KeyAt key_at,
+                        Fresh fresh, Found found) {
+    Cursor m = cursor();
+    const unsigned __int128 magic = magic_;
+    const std::size_t capacity = capacity_;
+    std::size_t i = 0;
+    for (; i < n && m.size < limit; ++i) {
+      const key64_t key = key_at(i);
+      const std::uint64_t h = key * kHashPrime;
+      const auto start =
+          static_cast<std::size_t>(remainder_by_magic(h, magic, capacity));
+      const std::uint8_t tag = hash_tag(h);
+      const std::uint8_t c = m.ctrl[start];
+      if (c == kCtrlEmpty) {
+        ++m.probes;
+        m.claim(start, key, tag);
+        fresh(m.vals, start, i);
+      } else if (c == tag && m.keys[start] == key) {
+        ++m.probes;
+        found(m.vals, start, i);
+      } else {
+        commit(m);
+        const Probe p = insert_key_from(key, start, tag);
+        m.size = size_;
+        m.probes = probes_;
+        if (p.index == kNoSlot) break;
+        if (p.found) {
+          found(m.vals, p.index, i);
+        } else {
+          fresh(m.vals, p.index, i);
+        }
+      }
+    }
+    commit(m);
+    return i;
   }
 
   Probe probe(key64_t key, std::size_t start, std::uint8_t tag) {
@@ -254,13 +472,11 @@ class DeviceHashMap {
   }
   Probe probe_scalar(key64_t key, std::size_t start, std::uint8_t tag);
   Probe probe_groups(key64_t key, std::size_t start, std::uint8_t tag);
-  /// The out-of-line probe walks from the home slot `start`, past the
-  /// inline home-slot checks (the walk re-reads the home slot, so probe
-  /// counts equal a walk from scratch). insert_key_from returns the claimed
-  /// slot, or kNoSlot when the key was present or the map overflowed.
-  std::size_t insert_key_from(key64_t key, std::size_t start, std::uint8_t tag);
-  bool accumulate_from(key64_t key, value_t value, std::size_t start,
-                       std::uint8_t tag);
+  /// The out-of-line probe walks from the home slot `start`, past a
+  /// runner's home-slot checks (the walk re-reads the home slot, so probe
+  /// counts equal a walk from scratch). insert_key_from claims the slot of
+  /// an absent key and returns the probe (index kNoSlot: overflow).
+  Probe insert_key_from(key64_t key, std::size_t start, std::uint8_t tag);
   bool accumulate_if_present_from(key64_t key, value_t value, std::size_t start,
                                   std::uint8_t tag);
 
@@ -279,6 +495,7 @@ class DeviceHashMap {
   /// One bit per group holding a slot claimed since the last reset.
   std::vector<std::uint64_t> group_used_;
   std::size_t capacity_ = 0;  ///< logical capacity; <= retained storage
+  unsigned __int128 magic_ = 0;  ///< remainder_magic(capacity_)
   std::size_t groups_ = 0;    ///< ceil(capacity_ / kGroupWidth)
   std::size_t size_ = 0;
   std::size_t probes_ = 0;

@@ -47,9 +47,10 @@ index_t masked_direct_row(const KernelContext& ctx, index_t r, index_t* dst_cols
 
 /// Hash masked row: the mask columns are pre-seeded into the scratchpad map
 /// as the only admissible keys, every product streams through
-/// accumulate-if-present (a non-mask column misses and is dropped without
-/// claiming a slot), and extraction probes the mask columns back in
-/// ascending order — the output emerges sorted with no sort pass.
+/// accumulate-if-present, one B row segment per A entry (a non-mask column
+/// misses and is dropped without claiming a slot), and extraction probes
+/// the mask columns back in ascending order — the output emerges sorted
+/// with no sort pass.
 index_t masked_hash_row(const KernelContext& ctx, const KernelConfig& config,
                         index_t r, index_t* dst_cols, value_t* dst_vals,
                         KernelWorkspace& ws, sim::BlockCost& cost,
@@ -60,9 +61,7 @@ index_t masked_hash_row(const KernelContext& ctx, const KernelConfig& config,
   MaskedNumericAccumulator& acc = ws.masked_acc(
       ctx.effective_capacity(config.numeric_hash_capacity()), ctx.faults,
       ctx.simd);
-  for (const index_t mc : mask_cols) {
-    acc.seed(compound_key(0, mc, ctx.wide_keys));
-  }
+  acc.seed_segment(compound_key(0, 0, ctx.wide_keys), mask_cols);
   const bool prefetch_gathers = ctx.simd != SimdBackend::kScalar;
   for (std::size_t i = 0; i < a_cols.size(); ++i) {
     const index_t k = a_cols[i];
@@ -73,22 +72,17 @@ index_t masked_hash_row(const KernelContext& ctx, const KernelConfig& config,
       simd::prefetch(ctx.b->values().data() + next);
     }
     const auto b_cols = ctx.b->row_cols(k);
-    const auto b_vals = ctx.b->row_vals(k);
     rc.touches += b_cols.size();
-    for (std::size_t j = 0; j < b_cols.size(); ++j) {
-      acc.accumulate(compound_key(0, b_cols[j], ctx.wide_keys),
-                     a_vals[i] * b_vals[j]);
-    }
+    acc.accumulate_segment(compound_key(0, 0, ctx.wide_keys), b_cols,
+                           ctx.b->row_vals(k), a_vals[i]);
   }
   index_t count = 0;
-  for (const index_t mc : mask_cols) {
-    value_t v;
-    if (acc.lookup_touched(compound_key(0, mc, ctx.wide_keys), &v)) {
-      dst_cols[count] = mc;
-      dst_vals[count] = v;
-      ++count;
-    }
-  }
+  acc.lookup_segment(compound_key(0, 0, ctx.wide_keys), mask_cols,
+                     [&](std::size_t j, value_t sum) {
+                       dst_cols[count] = mask_cols[j];
+                       dst_vals[count] = sum;
+                       ++count;
+                     });
   detail::charge_hash_activity(cost, acc, counters);
   return count;
 }

@@ -157,6 +157,7 @@ sim::BlockCost run_numeric_block(const KernelContext& ctx,
     const index_t r = rows[local];
     const auto a_cols = ctx.a->row_cols(r);
     const auto a_vals = ctx.a->row_vals(r);
+    const key64_t row_bits = compound_key(static_cast<int>(local), 0, ctx.wide_keys);
     for (std::size_t i = 0; i < a_cols.size(); ++i) {
       const index_t k = a_cols[i];
       if (prefetch_gathers && i + 1 < a_cols.size()) {
@@ -168,12 +169,8 @@ sim::BlockCost run_numeric_block(const KernelContext& ctx,
         simd::prefetch(ctx.b->col_indices().data() + next);
         simd::prefetch(ctx.b->values().data() + next);
       }
-      const auto b_cols = ctx.b->row_cols(k);
-      const auto b_vals = ctx.b->row_vals(k);
-      for (std::size_t j = 0; j < b_cols.size(); ++j) {
-        acc.accumulate(compound_key(static_cast<int>(local), b_cols[j], ctx.wide_keys),
-                       a_vals[i] * b_vals[j]);
-      }
+      acc.accumulate_segment(row_bits, ctx.b->row_cols(k), ctx.b->row_vals(k),
+                             a_vals[i]);
     }
   }
   // Extraction: one radix sort by compound key. The local row sits above

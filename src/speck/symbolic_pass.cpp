@@ -110,7 +110,8 @@ sim::BlockCost run_symbolic_block(const KernelContext& ctx,
   for (std::size_t local = 0; local < rows.size(); ++local) {
     const index_t r = rows[local];
     const auto a_cols = ctx.a->row_cols(r);
-    index_t nnz = 0;
+    const key64_t row_bits = compound_key(static_cast<int>(local), 0, ctx.wide_keys);
+    std::size_t nnz = 0;
     for (std::size_t i = 0; i < a_cols.size(); ++i) {
       if (prefetch_gathers && i + 1 < a_cols.size()) {
         // Hide the latency of the next B-row gather behind this one's
@@ -119,11 +120,9 @@ sim::BlockCost run_symbolic_block(const KernelContext& ctx,
         simd::prefetch(ctx.b->col_indices().data() +
                        static_cast<std::size_t>(ctx.b->row_offsets()[next]));
       }
-      for (const index_t col : ctx.b->row_cols(a_cols[i])) {
-        if (acc.insert(compound_key(static_cast<int>(local), col, ctx.wide_keys))) ++nnz;
-      }
+      nnz += acc.insert_segment(row_bits, ctx.b->row_cols(a_cols[i]));
     }
-    out_row_nnz[static_cast<std::size_t>(r)] = nnz;
+    out_row_nnz[static_cast<std::size_t>(r)] = static_cast<index_t>(nnz);
     ++stats.hash_rows;
   }
   charge_row_sweep(cost, ctx, rows, lb.group_size, /*numeric=*/false, ws);

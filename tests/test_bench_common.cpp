@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "bench_common.h"
+#include "common/thread_pool.h"
 
 namespace speck::bench {
 namespace {
@@ -174,6 +175,49 @@ TEST(GateArgs, RejectsUnknownFlagsAndMissingValues) {
   ASSERT_TRUE(parse(edge, {"--reps", "0", "--threads", "1024", "--min-speedup", "-1"}));
   EXPECT_EQ(edge.count("--reps"), 0u);
   EXPECT_EQ(edge.threads, (std::vector<int>{1024}));
+}
+
+/// apply_report_args() on `argv` after the program name.
+int apply_report(GateArgs& args, std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "bench_report");
+  return apply_report_args(args, static_cast<int>(argv.size()),
+                           const_cast<char**>(argv.data()));
+}
+
+TEST(ReportArgs, RejectsWhatItDoesNotKnow) {
+  // `bench_table4_common_stats --threds 2` used to run on the default pool.
+  const std::vector<std::vector<const char*>> bad = {
+      {"--threds", "2"}, {"--quick"}, {"--threads"}, {"--threads", "0"},
+      {"--per-matrix"}, {"--csv", "out.csv"}};
+  for (const auto& argv : bad) {
+    SCOPED_TRACE(argv[0]);
+    GateArgs args = report_args();
+    EXPECT_EQ(apply_report(args, argv), 0);
+  }
+}
+
+TEST(ReportArgs, ThreadsResizeTheGlobalPool) {
+  GateArgs args = report_args();
+  EXPECT_EQ(apply_report(args, {"--threads", "3"}), 3);
+  EXPECT_EQ(global_pool().thread_count(), 3);
+  GateArgs defaults = report_args();
+  EXPECT_EQ(apply_report(defaults, {}), default_thread_count());
+  EXPECT_EQ(global_pool().thread_count(), default_thread_count());
+}
+
+TEST(ReportArgs, BenchFlags) {
+  // bench_fig6_trend's switch and bench_table3_overall's output path.
+  GateArgs args = report_args();
+  args.switch_flag("--per-matrix").text_flag("--csv");
+  ASSERT_GT(apply_report(args, {}), 0);
+  EXPECT_EQ(args.get("--per-matrix"), 0.0);
+  EXPECT_EQ(args.text("--csv"), "");
+  ASSERT_GT(apply_report(args, {"--csv", "out.csv", "--per-matrix"}), 0);
+  EXPECT_EQ(args.get("--per-matrix"), 1.0);
+  EXPECT_EQ(args.text("--csv"), "out.csv");
+  GateArgs missing = report_args();
+  missing.text_flag("--csv");
+  EXPECT_EQ(apply_report(missing, {"--csv"}), 0);
 }
 
 TEST(EmitRatio, QuartileKeysOnlyWithMoreThanOneRound) {

@@ -1,8 +1,14 @@
 // Unit tests for the scratchpad hash-map emulation (keys, probing, overflow).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/prng.h"
+#include "sim/device_spec.h"
+#include "speck/config.h"
 #include "speck/hash_map.h"
 
 namespace speck {
@@ -104,6 +110,67 @@ TEST(DeviceHashMap, FillRate) {
   map.insert_key(1);
   map.insert_key(2);
   EXPECT_DOUBLE_EQ(map.fill_rate(), 0.2);
+}
+
+/// Capacities whose remainders are easiest to get wrong: the smallest,
+/// powers of two and their neighbours, every kernel config's hash-map
+/// capacities on each device preset, and the largest the map accepts.
+std::vector<std::uint64_t> edge_capacities() {
+  std::vector<std::uint64_t> caps = {1, 2, 3, 5, 7, 1000, UINT32_MAX - 1, UINT32_MAX};
+  for (int k = 2; k <= 32; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    caps.push_back(p - 1);
+    if (p <= UINT32_MAX) caps.push_back(p);
+    if (p + 1 <= UINT32_MAX) caps.push_back(p + 1);
+  }
+  for (const auto& device : {sim::DeviceSpec::titan_v(), sim::DeviceSpec::pascal_like(),
+                             sim::DeviceSpec::a100_like()}) {
+    for (const KernelConfig& config : kernel_configs(device)) {
+      caps.push_back(config.symbolic_hash_capacity());
+      caps.push_back(config.numeric_hash_capacity());
+    }
+  }
+  return caps;
+}
+
+TEST(HomeSlot, RemainderByMagicEqualsModulo) {
+  Xoshiro256 rng(2019);
+  for (const std::uint64_t cap : edge_capacities()) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    const unsigned __int128 magic = remainder_magic(cap);
+    std::vector<std::uint64_t> hashes = {0, 1, cap - 1, cap, cap + 1, UINT64_MAX,
+                                         UINT64_MAX - 1, UINT64_MAX - cap,
+                                         (UINT64_MAX / cap) * cap,
+                                         (UINT64_MAX / cap) * cap - 1};
+    for (int i = 0; i < 2000; ++i) hashes.push_back(rng.next_u64());
+    // Hashes of real compound keys, narrow and wide, as the map forms them.
+    for (int i = 0; i < 2000; ++i) {
+      const auto row = static_cast<int>(rng.next_below(32));
+      const auto col = static_cast<index_t>(rng.next_below(kMaxColumns32Bit));
+      hashes.push_back(compound_key(row, col, i % 2 == 0) * DeviceHashMap::kHashPrime);
+    }
+    for (const std::uint64_t h : hashes) {
+      ASSERT_EQ(remainder_by_magic(h, magic, cap), h % cap) << "hash " << h;
+    }
+  }
+}
+
+TEST(HomeSlot, ProbeCountsFollowTheModuloHomeSlot) {
+  // Keys chosen so that each one's home slot, key * prime % capacity, is
+  // free and distinct: every insert then costs exactly one probe, which
+  // holds only if the map uses that remainder as the home slot.
+  for (const std::size_t cap : {1u, 3u, 16u, 17u, 1000u, 4093u}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    DeviceHashMap map(cap);
+    std::set<std::uint64_t> homes;
+    std::size_t inserted = 0;
+    for (key64_t key = 0; inserted < cap / 2 + 1 && key < 100000; ++key) {
+      if (!homes.insert(key * DeviceHashMap::kHashPrime % cap).second) continue;
+      ASSERT_TRUE(map.insert_key(key));
+      ++inserted;
+      ASSERT_EQ(map.probes(), inserted) << "key " << key;
+    }
+  }
 }
 
 TEST(DeviceHashMap, RejectsZeroCapacity) {

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "common/alloc_counter.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
 #include "matrix/ops.h"
@@ -132,6 +133,7 @@ TEST(MaskedSpeck, ForcedSpillStaysExact) {
 }
 
 TEST(MaskedSpeck, PlanReplayBitIdentical) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   Speck speck = make_speck();
   const Csr a = gen::random_uniform(250, 250, 6, 3023);
   const Csr mask = gen::random_uniform(250, 250, 9, 3025);

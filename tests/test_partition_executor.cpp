@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -19,20 +18,6 @@
 #include "matrix/ops.h"
 #include "speck/multi_gpu.h"
 #include "speck/speck.h"
-
-// Counting allocator: makes PassStats::hot_path_allocs live in this binary
-// (see common/alloc_counter.h). Frees are uncounted on purpose.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace speck {
 namespace {
@@ -168,6 +153,7 @@ TEST(PartitionExecutor, EstimatedPlanningBitIdenticalAcrossPartitions) {
 }
 
 TEST(PartitionExecutor, SteadyStateAllocationFreeWithPartitions) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   // Partition-local workspace pools must preserve the zero-allocation hot
   // path: after one cold multiply every block body runs allocation-free.
   // Single worker keeps the block-to-team assignment deterministic.

@@ -3,66 +3,36 @@
 // footprint of the plan, measured by a size-tracking global allocator.
 // Guards against the undercount class of bug where the budget admits more
 // plans than the configured bytes (the pre-sharding accounting missed the
-// replay program, heap slack and every string).
+// replay program, heap slack and every string). The heap bytes come from
+// the shared counting allocator (common/counting_new.cpp), which keeps each
+// block's size in a header.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
+#include "common/alloc_counter.h"
 #include "gen/generators.h"
 #include "speck/plan.h"
 #include "speck/speck.h"
-
-namespace {
-
-// Live heap bytes allocated through global new, tracked with a size header
-// in front of each block so delete knows what it frees.
-std::atomic<std::size_t> g_live_bytes{0};
-constexpr std::size_t kHeader = alignof(std::max_align_t);
-
-std::size_t live_bytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* raw = std::malloc(size + kHeader);
-  if (raw == nullptr) throw std::bad_alloc();
-  *static_cast<std::size_t*>(raw) = size;
-  g_live_bytes.fetch_add(size, std::memory_order_relaxed);
-  return static_cast<char*>(raw) + kHeader;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept {
-  if (p == nullptr) return;
-  void* raw = static_cast<char*>(p) - kHeader;
-  g_live_bytes.fetch_sub(*static_cast<std::size_t*>(raw),
-                         std::memory_order_relaxed);
-  std::free(raw);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace speck {
 namespace {
 
 /// Heap bytes released when a freshly built plan is destroyed — exactly the
-/// bytes the plan pinned, independent of anything the pipeline retains.
+/// bytes the plan pinned, independent of anything the pipeline retains. The
+/// plan is destroyed on this thread, so this thread's count sees every free.
 std::size_t measured_plan_heap(Speck& sp, const Csr& a, const Csr& b,
                                std::size_t* reported) {
   auto plan = std::make_unique<SpeckPlan>(sp.plan(a, b));
   EXPECT_TRUE(plan->complete) << plan->incomplete_reason;
   *reported = plan->byte_size();
-  const std::size_t before = live_bytes();
+  const std::size_t before = detail::thread_heap_bytes();
   plan.reset();
-  return before - live_bytes();
+  return before - detail::thread_heap_bytes();
 }
 
 TEST(PlanBytes, ByteSizeMatchesMeasuredHeapFootprint) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
   const Csr banded = gen::banded(256, 12, 9, 5);
   const Csr scale_free = gen::power_law(200, 200, 7, 2.1, 50, 9);

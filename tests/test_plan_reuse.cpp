@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 
 #include "common/alloc_counter.h"
 #include "common/prng.h"
@@ -20,20 +18,6 @@
 #include "ref/gustavson.h"
 #include "ref/masked.h"
 #include "speck/speck.h"
-
-// Counting allocator (as in bench_hotpath): makes the replay path's
-// zero-allocation claim observable via PassStats::hot_path_allocs.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace speck {
 namespace {
@@ -322,6 +306,7 @@ TEST(PlanReuse, ReplayValuesOnlyAcrossValueChanges) {
 }
 
 TEST(PlanReuse, ReplayHotPathIsAllocationFree) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   SpeckConfig cfg;
   cfg.host_threads = 1;
   Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);

@@ -10,9 +10,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <thread>
 #include <vector>
@@ -24,20 +22,6 @@
 #include "ref/gustavson.h"
 #include "speck/service.h"
 #include "speck/speck.h"
-
-// Counting allocator (as in bench_reuse): makes the replay path's
-// zero-allocation claim observable via PassStats::hot_path_allocs.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace speck {
 namespace {
@@ -125,6 +109,7 @@ TEST(ServiceBasics, UnplannableStructureStillServedByFullPipeline) {
 }
 
 TEST(ServiceHotPath, SteadyStateReplayHasZeroHotPathAllocs) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
   SpeckService svc(sp);
   const Csr a = gen::banded(128, 8, 6, 17);

@@ -143,24 +143,6 @@ TEST(SimdPrimitives, PrefixSumOverloadsMatchScalarTemplates) {
   }
 }
 
-TEST(SimdPrimitives, MatchMask16AgreesWithScalar) {
-  Xoshiro256 rng(991);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::uint8_t group[simd::kGroupWidth];
-    for (auto& byte : group) {
-      // Small alphabet → plenty of matches, empties and sentinels.
-      const auto roll = static_cast<std::uint8_t>(rng.next_u64() % 6);
-      byte = roll < 3 ? roll : (roll == 3 ? std::uint8_t{0x80} : std::uint8_t{0xFF});
-    }
-    const auto tag = static_cast<std::uint8_t>(rng.next_u64() % 6);
-    const std::uint32_t want = simd::match_mask16_scalar(group, tag);
-    for (const SimdBackend b : vector_backends()) {
-      EXPECT_EQ(simd::match_mask16(group, tag, b), want)
-          << "backend " << simd::backend_name(b) << " trial " << trial;
-    }
-  }
-}
-
 TEST(SimdPrimitives, NonzeroMask32AgreesWithScalar) {
   Xoshiro256 rng(992);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -188,6 +170,15 @@ TEST(SimdPrimitives, GroupMasks16AgreesWithScalar) {
     const auto tag = static_cast<std::uint8_t>(rng.next_u64() % 6);
     const simd::GroupMasks want =
         simd::group_masks16_scalar(group, tag, 0x80);
+    // The scalar reference against a lane-by-lane compare.
+    std::uint32_t tag_lanes = 0;
+    std::uint32_t empty_lanes = 0;
+    for (std::size_t i = 0; i < simd::kGroupWidth; ++i) {
+      tag_lanes |= static_cast<std::uint32_t>(group[i] == tag) << i;
+      empty_lanes |= static_cast<std::uint32_t>(group[i] == 0x80) << i;
+    }
+    EXPECT_EQ(want.tag_mask, tag_lanes);
+    EXPECT_EQ(want.empty_mask, empty_lanes);
     for (const SimdBackend b : vector_backends()) {
       const simd::GroupMasks got = simd::group_masks16(group, tag, 0x80, b);
       EXPECT_EQ(got.tag_mask, want.tag_mask)
@@ -195,9 +186,6 @@ TEST(SimdPrimitives, GroupMasks16AgreesWithScalar) {
       EXPECT_EQ(got.empty_mask, want.empty_mask)
           << "backend " << simd::backend_name(b) << " trial " << trial;
     }
-    // The combined primitive must agree with the two single matches too.
-    EXPECT_EQ(want.tag_mask, simd::match_mask16_scalar(group, tag));
-    EXPECT_EQ(want.empty_mask, simd::match_mask16_scalar(group, 0x80));
   }
 }
 
@@ -230,8 +218,8 @@ TEST(SimdPrimitives, MaskEdgeCases) {
   for (const SimdBackend b : vector_backends()) {
     EXPECT_EQ(simd::nonzero_mask32(all_zero, b), 0u);
     EXPECT_EQ(simd::nonzero_mask32(all_set, b), 0xFFFFFFFFu);
-    EXPECT_EQ(simd::match_mask16(group_same, 0x42, b), 0xFFFFu);
-    EXPECT_EQ(simd::match_mask16(group_same, 0x43, b), 0u);
+    EXPECT_EQ(simd::group_masks16(group_same, 0x42, 0x80, b).tag_mask, 0xFFFFu);
+    EXPECT_EQ(simd::group_masks16(group_same, 0x43, 0x80, b).tag_mask, 0u);
     // 0x7F is the largest occupied control byte; 0x80/0xFF are free.
     std::uint8_t boundary[simd::kGroupWidth];
     for (std::size_t i = 0; i < simd::kGroupWidth; ++i) {
@@ -241,8 +229,8 @@ TEST(SimdPrimitives, MaskEdgeCases) {
     EXPECT_EQ(simd::occupied_mask16(boundary, b),
               simd::occupied_mask16_scalar(boundary));
     const simd::GroupMasks gm = simd::group_masks16(boundary, 0x7F, 0x80, b);
-    EXPECT_EQ(gm.tag_mask, simd::match_mask16_scalar(boundary, 0x7F));
-    EXPECT_EQ(gm.empty_mask, simd::match_mask16_scalar(boundary, 0x80));
+    EXPECT_EQ(gm.tag_mask, 0x9249u);    // lanes 0, 3, ..., 15 hold 0x7F
+    EXPECT_EQ(gm.empty_mask, 0x2492u);  // lanes 1, 4, ..., 13 hold 0x80
   }
   EXPECT_EQ(simd::lowest_bit(1u), 0u);
   EXPECT_EQ(simd::lowest_bit(0x8000u), 15u);

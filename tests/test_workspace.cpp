@@ -7,11 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <new>
 #include <set>
 #include <string>
 #include <utility>
@@ -28,20 +26,6 @@
 #include "speck/kernels_detail.h"
 #include "speck/speck.h"
 #include "speck/workspace.h"
-
-// Counting allocator: makes PassStats::hot_path_allocs live in this binary
-// (see common/alloc_counter.h). Frees are uncounted on purpose.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace speck {
 namespace {
@@ -99,6 +83,7 @@ TEST(FlatSpillMap, ClearIsReusableAndKeepsStorage) {
 }
 
 TEST(FlatSpillMap, ClearedMapAllocatesNothing) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   FlatSpillMap map;
   for (key64_t k = 0; k < 1000; ++k) map.insert(k);
   map.clear();
@@ -317,6 +302,7 @@ TEST(AccumulatorReuse, NumericReusedMatchesFreshUnderSpill) {
 }
 
 TEST(AccumulatorReuse, WarmAccumulatorBlockIsAllocationFree) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   NumericHashAccumulator acc;
   std::vector<DeviceHashMap::Entry> entries;
   // Warm-up block grows the map storage and the entry buffer.
@@ -489,6 +475,7 @@ TEST(WorkspacePipeline, BitIdenticalAcrossThreadCountsUnderForcedSpill) {
 }
 
 TEST(WorkspacePipeline, SteadyStateBlocksAreAllocationFree) {
+  ASSERT_TRUE(detail::counting_new_live()) << "the counting operator new is not linked";
   // After one cold multiply the instance's workspaces are warm; from then on
   // every block body must run without any heap allocation, on every further
   // multiply of the same instance (single worker: assignment deterministic).
