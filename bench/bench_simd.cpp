@@ -14,7 +14,7 @@
 //     (CSR bytes and simulated seconds — the backend may only change host
 //     wall time).
 //
-// On a machine whose best backend *is* scalar (no SSE/AVX2/NEON) the
+// On a machine whose best backend *is* scalar (no SSE2/NEON) the
 // speedup gate is skipped: there is nothing to compare.
 #include <cstdio>
 #include <numeric>

@@ -7,11 +7,9 @@
 #pragma once
 
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace speck {
 
@@ -50,43 +48,6 @@ std::vector<T> offsets_from_counts(std::span<const T> counts) {
   }
   offsets[counts.size()] = running;
   return offsets;
-}
-
-// ---------------------------------------------------------------------------
-// Backend-dispatched overloads. For 64-bit integral element types these run
-// the vector scans from common/simd.h (bit-identical — integer addition is
-// associative); anything else falls back to the scalar templates above.
-// Accessing a signed 64-bit object through the corresponding unsigned type
-// is well-defined ([basic.lval]); two's-complement addition is the same
-// bit-level operation either way. `backend` must be resolved (never kAuto).
-// ---------------------------------------------------------------------------
-
-template <typename T>
-inline constexpr bool is_scan64_v =
-    std::is_integral_v<T> && sizeof(T) == sizeof(std::uint64_t);
-
-/// In-place exclusive prefix sum, vectorized for 64-bit integers.
-template <typename T>
-T exclusive_prefix_sum(std::span<T> data, SimdBackend backend) {
-  if constexpr (is_scan64_v<T>) {
-    return static_cast<T>(simd::exclusive_scan_u64(
-        reinterpret_cast<std::uint64_t*>(data.data()), data.size(), backend));
-  } else {
-    (void)backend;
-    return exclusive_prefix_sum(data);
-  }
-}
-
-/// In-place inclusive prefix sum, vectorized for 64-bit integers.
-template <typename T>
-T inclusive_prefix_sum(std::span<T> data, SimdBackend backend) {
-  if constexpr (is_scan64_v<T>) {
-    return static_cast<T>(simd::inclusive_scan_u64(
-        reinterpret_cast<std::uint64_t*>(data.data()), data.size(), backend));
-  } else {
-    (void)backend;
-    return inclusive_prefix_sum(data);
-  }
 }
 
 }  // namespace speck

@@ -24,12 +24,6 @@ bool backend_available(SimdBackend backend) {
 #else
       return false;
 #endif
-    case SimdBackend::kAvx2:
-#if defined(SPECK_SIMD_X86)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
     case SimdBackend::kNeon:
 #if defined(SPECK_SIMD_NEON)
       return true;  // NEON is mandatory on aarch64
@@ -41,7 +35,6 @@ bool backend_available(SimdBackend backend) {
 }
 
 SimdBackend detected_backend() {
-  if (backend_available(SimdBackend::kAvx2)) return SimdBackend::kAvx2;
   if (backend_available(SimdBackend::kSse)) return SimdBackend::kSse;
   if (backend_available(SimdBackend::kNeon)) return SimdBackend::kNeon;
   return SimdBackend::kScalar;
@@ -55,7 +48,6 @@ std::optional<SimdBackend> parse_backend(std::string_view name) {
   if (lower == "auto") return SimdBackend::kAuto;
   if (lower == "scalar") return SimdBackend::kScalar;
   if (lower == "sse") return SimdBackend::kSse;
-  if (lower == "avx2") return SimdBackend::kAvx2;
   if (lower == "neon") return SimdBackend::kNeon;
   return std::nullopt;
 }
@@ -65,7 +57,6 @@ const char* backend_name(SimdBackend backend) {
     case SimdBackend::kAuto: return "auto";
     case SimdBackend::kScalar: return "scalar";
     case SimdBackend::kSse: return "sse";
-    case SimdBackend::kAvx2: return "avx2";
     case SimdBackend::kNeon: return "neon";
   }
   return "?";

@@ -20,6 +20,7 @@
 
 #include "common/bit_utils.h"
 #include "common/check.h"
+#include "common/prefix_sum.h"
 #include "common/simd.h"
 
 namespace speck {
@@ -78,11 +79,7 @@ void radix_sort_pairs(std::vector<K>& keys, std::vector<V>& values,
     if (shift > 0 && (max_key >> shift) == 0) break;
     std::fill(std::begin(histogram), std::end(histogram), 0);
     for (std::size_t i = 0; i < n; ++i) ++histogram[(keys[i] >> shift) & (kBuckets - 1)];
-    // Histogram -> bucket offsets: vectorized exclusive scan (bit-identical
-    // to the scalar running-sum it replaced; integer adds in fixed order).
-    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-    simd::exclusive_scan_u64(reinterpret_cast<std::uint64_t*>(histogram),
-                             kBuckets, simd);
+    exclusive_prefix_sum(std::span<std::size_t>(histogram));  // -> offsets
     for (std::size_t i = 0; i < n; ++i) {
       if (prefetch_scatter && i + kPrefetchDistance < n) {
         // The upcoming element's destination cursor is known now; touch the

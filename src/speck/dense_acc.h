@@ -27,16 +27,14 @@ struct DenseScratch {
   std::vector<index_t> out_cols;       ///< compacted output columns
   std::vector<value_t> out_vals;       ///< compacted output values
 
-  /// Masked dense path (run_numeric_masked): its own window, cursor and
-  /// gather buffers so the self-cleaning invariant of `window_vals` /
-  /// `occupied` above is never at risk — the masked pass zero-fills its
-  /// window at the start of every pass instead. `mask_occupied` carries
-  /// simd::kMaskedGatherPad bytes of tail padding for the AVX2 byte gather.
+  /// Masked dense path (run_numeric_masked): its own window and cursor
+  /// buffers so the self-cleaning invariant of `window_vals` / `occupied`
+  /// above is never at risk — the masked pass zero-fills its window at the
+  /// start of every pass instead. The mask-column emit loop reads only cells
+  /// inside the window, so `mask_occupied` needs no tail padding.
   std::vector<offset_t> mask_cursor;        ///< per-A-entry B cursor
   std::vector<value_t> mask_window_vals;    ///< masked dense value window
-  std::vector<std::uint8_t> mask_occupied;  ///< masked occupancy (+ padding)
-  std::vector<value_t> mask_gather_vals;    ///< per-mask-column gather output
-  std::vector<std::uint8_t> mask_gather_touched;  ///< per-mask-column flags
+  std::vector<std::uint8_t> mask_occupied;  ///< masked occupancy window
 };
 
 struct DenseRowResult {

@@ -333,9 +333,8 @@ NumericOutcome run_staged_pass(const KernelContext& ctx, const BinPlan& plan,
   thread_local std::vector<value_t> staging_vals;
   if (staging_offsets.size() < rows + 1) staging_offsets.resize(rows + 1);
   staging_offsets[0] = 0;
-  simd::widen_i32_to_i64(caps.data(), staging_offsets.data() + 1, rows, ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(staging_offsets.data() + 1, rows),
-                       ctx.simd);
+  std::copy(caps.begin(), caps.end(), staging_offsets.begin() + 1);
+  inclusive_prefix_sum(std::span<offset_t>(staging_offsets.data() + 1, rows));
   const auto staging_total = static_cast<std::size_t>(staging_offsets[rows]);
   if (staging_cols.size() < staging_total) staging_cols.resize(staging_total);
   if (staging_vals.size() < staging_total) staging_vals.resize(staging_total);
@@ -379,8 +378,8 @@ NumericOutcome run_staged_pass(const KernelContext& ctx, const BinPlan& plan,
   // Compaction: exact offsets from the actual counts, then every fitting
   // row moves from its staging slot to its final position.
   std::vector<offset_t> offsets(rows + 1, 0);
-  simd::widen_i32_to_i64(out.row_nnz.data(), offsets.data() + 1, rows, ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, rows), ctx.simd);
+  std::copy(out.row_nnz.begin(), out.row_nnz.end(), offsets.begin() + 1);
+  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, rows));
   std::vector<index_t> out_cols(static_cast<std::size_t>(offsets.back()));
   std::vector<value_t> out_vals(static_cast<std::size_t>(offsets.back()));
   pool_or_global(ctx.pool).parallel_for(

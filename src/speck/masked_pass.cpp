@@ -89,10 +89,11 @@ index_t masked_hash_row(const KernelContext& ctx, const KernelConfig& config,
 
 /// Dense masked row: ascending window passes over [col_min, col_max] with
 /// per-A-entry cursors (each product visited exactly once, like the exact
-/// dense kernel), then a vectorized gather over the mask columns falling in
-/// the window. The window is zero-filled at every pass start — separate
-/// mask_* scratch buffers, so the exact dense path's self-cleaning window
-/// invariant is untouched — which makes every accumulation 0.0 + p.
+/// dense kernel), then one pass over the mask columns falling in the window
+/// that emits each occupied cell. The window is zero-filled at every pass
+/// start — separate mask_* scratch buffers, so the exact dense path's
+/// self-cleaning window invariant is untouched — which makes every
+/// accumulation 0.0 + p.
 index_t masked_dense_row(const KernelContext& ctx, const KernelConfig& config,
                          index_t r, index_t* dst_cols, value_t* dst_vals,
                          DenseScratch& scratch, MaskedRowCost& rc) {
@@ -117,12 +118,8 @@ index_t masked_dense_row(const KernelContext& ctx, const KernelConfig& config,
   if (scratch.mask_window_vals.size() < window_columns) {
     scratch.mask_window_vals.resize(window_columns);
   }
-  if (scratch.mask_occupied.size() < window_columns + simd::kMaskedGatherPad) {
-    scratch.mask_occupied.resize(window_columns + simd::kMaskedGatherPad, 0);
-  }
-  if (scratch.mask_gather_vals.size() < mask_cols.size()) {
-    scratch.mask_gather_vals.resize(mask_cols.size());
-    scratch.mask_gather_touched.resize(mask_cols.size());
+  if (scratch.mask_occupied.size() < window_columns) {
+    scratch.mask_occupied.resize(window_columns, 0);
   }
   const auto b_cols = b.col_indices();
   const auto b_vals = b.values();
@@ -155,20 +152,12 @@ index_t masked_dense_row(const KernelContext& ctx, const KernelConfig& config,
       }
     }
 
-    const std::size_t seg_begin = mp;
-    while (mp < mask_cols.size() && mask_cols[mp] <= window_end) ++mp;
-    const std::size_t n = mp - seg_begin;
-    if (n == 0) continue;
-    rc.gathered += n;
-    simd::masked_window_gather(
-        mask_cols.data() + seg_begin, n, window_start,
-        scratch.mask_window_vals.data(), scratch.mask_occupied.data(),
-        scratch.mask_gather_vals.data(), scratch.mask_gather_touched.data(),
-        ctx.simd);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scratch.mask_gather_touched[i] != 0) {
-        dst_cols[count] = mask_cols[seg_begin + i];
-        dst_vals[count] = scratch.mask_gather_vals[i];
+    for (; mp < mask_cols.size() && mask_cols[mp] <= window_end; ++mp) {
+      ++rc.gathered;
+      const auto slot = static_cast<std::size_t>(mask_cols[mp] - window_start);
+      if (scratch.mask_occupied[slot] != 0) {
+        dst_cols[count] = mask_cols[mp];
+        dst_vals[count] = scratch.mask_window_vals[slot];
         ++count;
       }
     }

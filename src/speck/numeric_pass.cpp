@@ -233,15 +233,11 @@ NumericOutcome run_numeric(const KernelContext& ctx, const BinPlan& plan,
   NumericOutcome out;
   out.stats.global_pool_bytes = global_pool_bytes(ctx, plan, /*symbolic=*/false);
 
-  // Output allocation: offsets from the symbolic row counts — a widening
-  // copy followed by the SIMD inclusive scan (bit-identical to the serial
-  // running sum; integer addition is associative).
+  // Output allocation: offsets from the symbolic row counts.
   const auto row_count = static_cast<std::size_t>(ctx.a->rows());
   std::vector<offset_t> offsets(row_count + 1, 0);
-  simd::widen_i32_to_i64(row_nnz.data(), offsets.data() + 1, row_count,
-                         ctx.simd);
-  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, row_count),
-                       ctx.simd);
+  std::copy(row_nnz.begin(), row_nnz.end(), offsets.begin() + 1);
+  inclusive_prefix_sum(std::span<offset_t>(offsets.data() + 1, row_count));
   std::vector<index_t> out_cols(static_cast<std::size_t>(offsets.back()));
   std::vector<value_t> out_vals(static_cast<std::size_t>(offsets.back()));
 

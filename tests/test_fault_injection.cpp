@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -198,10 +199,14 @@ struct OomSweep {
   std::set<std::string> exits;
 };
 
-OomSweep sweep_memory_budget(PlanningMode planning, const Csr& a,
-                             const Csr* mask) {
+/// `configure` adjusts the config (features, faults) before the budget is
+/// set; planning and the plan cache stay pinned.
+OomSweep sweep_memory_budget(
+    PlanningMode planning, const Csr& a, const Csr* mask,
+    const std::function<void(SpeckConfig&)>& configure = {}) {
   const auto run = [&](std::size_t budget) {
     SpeckConfig config;
+    if (configure) configure(config);
     // Pinned so SPECK_PLANNING cannot move the expectations.
     config.planning = planning;
     config.plan_cache = false;
@@ -256,6 +261,25 @@ TEST(FaultMatrix, OomExitsPerPipelineMode) {
             (std::set<std::string>{
                 input, "row analysis buffers exceed device memory",
                 "masked output staging exceeds device memory"}));
+
+  // The exact-mode exits the default settings never reach. A few
+  // 2000-entry rows over 1-entry rows put rows of A·A into the largest
+  // kernel with more products than its scratchpad holds, which sizes a
+  // numeric global hash pool (4.5 MiB, the bulk of the peak); the always-on
+  // balancer allocates its buffers before either pass. The shrunken
+  // scratchpad also spills the symbolic maps into global memory.
+  const Csr skewed = gen::skewed_rows(6000, 6000, 0.002, 2000, 1, 5);
+  const OomSweep balanced = sweep_memory_budget(
+      PlanningMode::kExact, skewed, nullptr, [](SpeckConfig& config) {
+        config.features.set_global_lb(GlobalLbMode::kAlwaysOn);
+        config.faults.scratchpad_scale = 0.25;
+      });
+  EXPECT_EQ(balanced.peak, 7038912u);
+  EXPECT_EQ(balanced.exits,
+            (std::set<std::string>{
+                input, "row analysis buffers exceed device memory",
+                "load balancer buffers exceed device memory",
+                "global hash pool exceeds device memory", output}));
 }
 
 /// One run of `a`·`a` (masked by `mask` when non-null) under a device-memory

@@ -196,8 +196,7 @@ TEST(SymbolicAcc, InsertReturnsCountRowsLikeTheMapWalk) {
 
 std::vector<SimdBackend> all_backends() {
   std::vector<SimdBackend> out = {SimdBackend::kScalar};
-  for (const SimdBackend b :
-       {SimdBackend::kSse, SimdBackend::kAvx2, SimdBackend::kNeon}) {
+  for (const SimdBackend b : {SimdBackend::kSse, SimdBackend::kNeon}) {
     if (simd::backend_available(b)) out.push_back(b);
   }
   return out;

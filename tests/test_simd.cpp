@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "common/prefix_sum.h"
 #include "common/prng.h"
 #include "common/simd.h"
 #include "common/sorting.h"
@@ -28,8 +30,7 @@ namespace {
 /// Vector backends this machine can actually execute (often just one).
 std::vector<SimdBackend> vector_backends() {
   std::vector<SimdBackend> out;
-  for (const SimdBackend b :
-       {SimdBackend::kSse, SimdBackend::kAvx2, SimdBackend::kNeon}) {
+  for (const SimdBackend b : {SimdBackend::kSse, SimdBackend::kNeon}) {
     if (simd::backend_available(b)) out.push_back(b);
   }
   return out;
@@ -39,58 +40,9 @@ std::vector<SimdBackend> vector_backends() {
 // Primitives
 // ---------------------------------------------------------------------------
 
-TEST(SimdPrimitives, PrefixScansU64AgreeWithScalar) {
-  Xoshiro256 rng(994);
-  // Odd lengths straddle every vector-width remainder path.
-  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 250}) {
-    std::vector<std::uint64_t> base(n);
-    for (auto& v : base) v = rng.next_u64() >> 40;
-
-    std::vector<std::uint64_t> want_incl = base;
-    const std::uint64_t incl_total =
-        simd::inclusive_scan_u64_scalar(want_incl.data(), n);
-    std::vector<std::uint64_t> want_excl = base;
-    const std::uint64_t excl_total =
-        simd::exclusive_scan_u64_scalar(want_excl.data(), n);
-
-    for (const SimdBackend b : vector_backends()) {
-      std::vector<std::uint64_t> got = base;
-      EXPECT_EQ(simd::inclusive_scan_u64(got.data(), n, b), incl_total)
-          << simd::backend_name(b) << " n=" << n;
-      EXPECT_EQ(got, want_incl) << simd::backend_name(b) << " n=" << n;
-      got = base;
-      EXPECT_EQ(simd::exclusive_scan_u64(got.data(), n, b), excl_total)
-          << simd::backend_name(b) << " n=" << n;
-      EXPECT_EQ(got, want_excl) << simd::backend_name(b) << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdPrimitives, WidenI32ToI64AgreesWithScalar) {
-  Xoshiro256 rng(996);
-  // Odd lengths straddle every vector-width remainder path; negative values
-  // exercise the sign-extension lanes.
-  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 250}) {
-    std::vector<std::int32_t> src(n);
-    for (auto& v : src) {
-      v = static_cast<std::int32_t>(rng.next_u64());  // full range, both signs
-    }
-    std::vector<std::int64_t> want(n, -1);
-    simd::widen_i32_to_i64_scalar(src.data(), want.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(want[i], static_cast<std::int64_t>(src[i])) << "i=" << i;
-    }
-    for (const SimdBackend b : vector_backends()) {
-      std::vector<std::int64_t> got(n, -1);
-      simd::widen_i32_to_i64(src.data(), got.data(), n, b);
-      EXPECT_EQ(got, want) << simd::backend_name(b) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdPrimitives, RadixSortOffsetsBitIdenticalAcrossBackends) {
-  // The radix sort's histogram->offsets scan is vectorized; the permutation
-  // must stay identical on every backend.
+  // A vector backend turns on the radix sort's scatter prefetch; the
+  // permutation must stay identical on every backend.
   Xoshiro256 rng(998);
   std::vector<std::uint32_t> keys(513);
   std::vector<std::uint32_t> vals(keys.size());
@@ -107,39 +59,6 @@ TEST(SimdPrimitives, RadixSortOffsetsBitIdenticalAcrossBackends) {
     radix_sort_pairs(got_keys, got_vals, b);
     EXPECT_EQ(got_keys, want_keys) << simd::backend_name(b);
     EXPECT_EQ(got_vals, want_vals) << simd::backend_name(b);
-  }
-}
-
-TEST(SimdPrimitives, PrefixSumOverloadsMatchScalarTemplates) {
-  // The backend-dispatched overloads must agree with the plain templates for
-  // every 64-bit integral element type the pipeline scans (offset_t row
-  // offsets, size_t histograms).
-  Xoshiro256 rng(995);
-  std::vector<offset_t> offsets(129);
-  for (auto& v : offsets) v = static_cast<offset_t>(rng.next_u64() % 5000);
-  std::vector<std::size_t> hist(77);
-  for (auto& v : hist) v = static_cast<std::size_t>(rng.next_u64() % 4096);
-
-  std::vector<offset_t> want_offsets = offsets;
-  const offset_t want_off_total =
-      inclusive_prefix_sum(std::span<offset_t>(want_offsets));
-  std::vector<std::size_t> want_hist = hist;
-  const std::size_t want_hist_total =
-      exclusive_prefix_sum(std::span<std::size_t>(want_hist));
-
-  std::vector<SimdBackend> backends = vector_backends();
-  backends.push_back(SimdBackend::kScalar);
-  for (const SimdBackend b : backends) {
-    std::vector<offset_t> got = offsets;
-    EXPECT_EQ(inclusive_prefix_sum(std::span<offset_t>(got), b),
-              want_off_total)
-        << simd::backend_name(b);
-    EXPECT_EQ(got, want_offsets) << simd::backend_name(b);
-    std::vector<std::size_t> got_hist = hist;
-    EXPECT_EQ(exclusive_prefix_sum(std::span<std::size_t>(got_hist), b),
-              want_hist_total)
-        << simd::backend_name(b);
-    EXPECT_EQ(got_hist, want_hist) << simd::backend_name(b);
   }
 }
 
@@ -241,13 +160,12 @@ TEST(SimdDispatch, ParseAndNames) {
   EXPECT_EQ(simd::parse_backend("auto"), SimdBackend::kAuto);
   EXPECT_EQ(simd::parse_backend("scalar"), SimdBackend::kScalar);
   EXPECT_EQ(simd::parse_backend("SSE"), SimdBackend::kSse);
-  EXPECT_EQ(simd::parse_backend("avx2"), SimdBackend::kAvx2);
   EXPECT_EQ(simd::parse_backend("neon"), SimdBackend::kNeon);
+  EXPECT_FALSE(simd::parse_backend("avx2").has_value());
   EXPECT_FALSE(simd::parse_backend("avx512").has_value());
   EXPECT_FALSE(simd::parse_backend("").has_value());
-  for (const SimdBackend b :
-       {SimdBackend::kAuto, SimdBackend::kScalar, SimdBackend::kSse,
-        SimdBackend::kAvx2, SimdBackend::kNeon}) {
+  for (const SimdBackend b : {SimdBackend::kAuto, SimdBackend::kScalar,
+                              SimdBackend::kSse, SimdBackend::kNeon}) {
     EXPECT_EQ(simd::parse_backend(simd::backend_name(b)), b);
   }
 }
@@ -259,6 +177,44 @@ TEST(SimdDispatch, ResolveNeverReturnsAuto) {
   EXPECT_EQ(simd::resolve_backend(SimdBackend::kScalar), SimdBackend::kScalar);
   EXPECT_TRUE(simd::backend_available(SimdBackend::kScalar));
   EXPECT_TRUE(simd::backend_available(SimdBackend::kAuto));
+}
+
+TEST(SimdDispatch, ResolveFollowsEnvironmentAndIgnoresUnknownNames) {
+#if !defined(_WIN32)
+  const char* saved = std::getenv("SPECK_SIMD");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("SPECK_SIMD", "scalar", 1);
+  EXPECT_EQ(simd::resolve_backend(SimdBackend::kAuto), SimdBackend::kScalar);
+  ::setenv("SPECK_SIMD", "auto", 1);
+  EXPECT_EQ(simd::resolve_backend(SimdBackend::kAuto), simd::detected_backend());
+  // A retired or unknown name warns once on stderr and falls back to the
+  // detected backend instead of aborting the run.
+  ::setenv("SPECK_SIMD", "avx2", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(simd::resolve_backend(SimdBackend::kAuto), simd::detected_backend());
+  EXPECT_EQ(simd::resolve_backend(SimdBackend::kAuto), simd::detected_backend());
+  const std::string warning = testing::internal::GetCapturedStderr();
+  // The notice is process-wide: a stale SPECK_SIMD this process started
+  // with has already used it up.
+  const std::optional<SimdBackend> inherited =
+      saved != nullptr ? simd::parse_backend(saved_value) : SimdBackend::kAuto;
+  if (inherited.has_value() && simd::backend_available(*inherited)) {
+    EXPECT_NE(warning.find("ignoring SPECK_SIMD='avx2'"), std::string::npos)
+        << warning;
+  }
+  EXPECT_EQ(warning.find("SPECK_SIMD", warning.find("SPECK_SIMD") + 1),
+            std::string::npos)
+      << "the notice must print once: " << warning;
+  // An explicit config choice ignores the environment.
+  EXPECT_EQ(simd::resolve_backend(SimdBackend::kScalar), SimdBackend::kScalar);
+  if (saved != nullptr) {
+    ::setenv("SPECK_SIMD", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("SPECK_SIMD");
+  }
+#else
+  GTEST_SKIP() << "setenv is POSIX-only";
+#endif
 }
 
 // ---------------------------------------------------------------------------

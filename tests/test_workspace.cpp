@@ -192,7 +192,7 @@ TEST(DeviceHashMapReuse, RandomOperationsMatchAFreshMapOnEveryBackend) {
   static constexpr std::size_t kCapacities[] = {1, 3, 15, 16, 17, 40, 64, 100, 250};
   static constexpr value_t kValues[] = {-0.0, 0.0, 0.5, -1.0, 3.0};
   std::vector<SimdBackend> backends = {SimdBackend::kScalar};
-  for (const SimdBackend b : {SimdBackend::kSse, SimdBackend::kAvx2, SimdBackend::kNeon}) {
+  for (const SimdBackend b : {SimdBackend::kSse, SimdBackend::kNeon}) {
     if (simd::backend_available(b)) backends.push_back(b);
   }
   for (const SimdBackend backend : backends) {

@@ -66,7 +66,7 @@ void print_usage(const char* prog, std::FILE* out) {
       "                     e.g. --fault-spec estimate-scale=0.25,seed=7\n"
       "  --validate         re-validate CSR invariants at the API boundary\n"
       "  --simd BACKEND     SIMD backend for the kernel hot loops:\n"
-      "                     auto|scalar|sse|avx2|neon (default auto — the\n"
+      "                     auto|scalar|sse|neon (default auto — the\n"
       "                     SPECK_SIMD env var, then CPU detection). Results\n"
       "                     are bit-identical for every backend\n"
       "  --planning MODE    plan construction mode: auto|exact|estimated\n"
@@ -136,7 +136,7 @@ int run(int argc, char** argv) {
       if (!parsed.has_value()) {
         std::fprintf(stderr,
                      "--simd: unknown backend '%s' "
-                     "(expected auto|scalar|sse|avx2|neon)\n",
+                     "(expected auto|scalar|sse|neon)\n",
                      argv[i + 1]);
         return 3;
       }
