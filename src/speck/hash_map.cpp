@@ -139,7 +139,7 @@ void DeviceHashMap::reconfigure(std::size_t capacity) {
                 groups_ * simd::kGroupWidth - capacity_);
     std::memset(ctrl_.data() + capacity, kCtrlSentinel, slots - capacity);
     capacity_ = capacity;
-    magic_ = remainder_magic(capacity);
+    home_ = HomeSlot(capacity);
     groups_ = groups;
   }
   probes_ = 0;

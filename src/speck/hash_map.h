@@ -54,6 +54,25 @@ inline std::uint64_t remainder_by_magic(std::uint64_t h, unsigned __int128 magic
   return static_cast<std::uint64_t>((high + low) >> 64);
 }
 
+/// The home slot of hash `h` in a map of `capacity` slots, h mod capacity:
+/// a mask when the capacity is a power of two, remainder_by_magic
+/// otherwise. Both give the same slot, so the choice never changes a probe.
+struct HomeSlot {
+  unsigned __int128 magic = 0;  ///< remainder_magic(capacity)
+  std::uint64_t capacity = 0;
+  bool pow2 = false;            ///< capacity is a power of two
+
+  HomeSlot() = default;
+  explicit HomeSlot(std::uint64_t capacity)
+      : magic(remainder_magic(capacity)),
+        capacity(capacity),
+        pow2(std::has_single_bit(capacity)) {}
+
+  std::uint64_t operator()(std::uint64_t h) const {
+    return pow2 ? h & (capacity - 1) : remainder_by_magic(h, magic, capacity);
+  }
+};
+
 /// Open-addressing hash map with linear probing, modelling a scratchpad
 /// array. Tracks the number of probes performed so the simulated cost
 /// reflects the actual fill rate.
@@ -67,7 +86,8 @@ inline std::uint64_t remainder_by_magic(std::uint64_t h, unsigned __int128 magic
 /// +1 linear steps) and account the same probe count — the number of slots a
 /// one-at-a-time scan would visit — so contents, insertion order, and every
 /// PassStats counter are bit-identical across backends. The home slot is the
-/// paper's remainder, computed by multiplication (remainder_by_magic).
+/// paper's remainder (HomeSlot): a mask for power-of-two capacities,
+/// computed by multiplication (remainder_by_magic) for the others.
 ///
 /// Most probes stop on their home slot. The runners (insert_run,
 /// accumulate_run, accumulate_if_present_run) settle that case in their own
@@ -221,16 +241,14 @@ class DeviceHashMap {
     const key64_t* const keys = keys_.data();
     value_t* const vals = vals_.data();
     std::uint8_t* const touched = touched_.data();
-    const unsigned __int128 magic = magic_;
-    const std::size_t capacity = capacity_;
+    const HomeSlot home_slot = home_;
     std::size_t probes = probes_;
     std::size_t hits = 0;
     std::size_t home[kChunk] = {};
     for (std::size_t base = 0; base < n; base += kChunk) {
       const std::size_t len = std::min(kChunk, n - base);
       for (std::size_t j = 0; j < len; ++j) {
-        home[j] = static_cast<std::size_t>(
-            remainder_by_magic(key_at(base + j) * kHashPrime, magic, capacity));
+        home[j] = static_cast<std::size_t>(home_slot(key_at(base + j) * kHashPrime));
       }
       for (std::size_t j = 0; j < len; ++j) {
         const std::size_t start = home[j];
@@ -279,14 +297,12 @@ class DeviceHashMap {
     const key64_t* const keys = keys_.data();
     const value_t* const vals = vals_.data();
     const std::uint8_t* const touched = touched_.data();
-    const unsigned __int128 magic = magic_;
-    const std::size_t capacity = capacity_;
+    const HomeSlot home_slot = home_;
     std::size_t probes = probes_;
     for (std::size_t i = 0; i < n; ++i) {
       const key64_t key = key_at(i);
       const std::uint64_t h = key * kHashPrime;
-      const auto start =
-          static_cast<std::size_t>(remainder_by_magic(h, magic, capacity));
+      const auto start = static_cast<std::size_t>(home_slot(h));
       const std::uint8_t tag = hash_tag(h);
       const std::uint8_t c = ctrl[start];
       std::size_t slot = start;
@@ -378,10 +394,6 @@ class DeviceHashMap {
     bool found;         ///< true when the key is already present
   };
 
-  /// Multiplicative hash (paper: index times a prime, modulo capacity).
-  std::size_t hash_slot(std::uint64_t h) const {
-    return static_cast<std::size_t>(remainder_by_magic(h, magic_, capacity_));
-  }
   /// 7-bit control tag from the hash's top bits (always < kCtrlEmpty).
   static std::uint8_t hash_tag(std::uint64_t h) {
     return static_cast<std::uint8_t>(h >> 57);
@@ -432,14 +444,12 @@ class DeviceHashMap {
   std::size_t claim_run(std::size_t n, std::size_t limit, KeyAt key_at,
                         Fresh fresh, Found found) {
     Cursor m = cursor();
-    const unsigned __int128 magic = magic_;
-    const std::size_t capacity = capacity_;
+    const HomeSlot home_slot = home_;
     std::size_t i = 0;
     for (; i < n && m.size < limit; ++i) {
       const key64_t key = key_at(i);
       const std::uint64_t h = key * kHashPrime;
-      const auto start =
-          static_cast<std::size_t>(remainder_by_magic(h, magic, capacity));
+      const auto start = static_cast<std::size_t>(home_slot(h));
       const std::uint8_t tag = hash_tag(h);
       const std::uint8_t c = m.ctrl[start];
       if (c == kCtrlEmpty) {
@@ -495,7 +505,7 @@ class DeviceHashMap {
   /// One bit per group holding a slot claimed since the last reset.
   std::vector<std::uint64_t> group_used_;
   std::size_t capacity_ = 0;  ///< logical capacity; <= retained storage
-  unsigned __int128 magic_ = 0;  ///< remainder_magic(capacity_)
+  HomeSlot home_;             ///< home slots over capacity_
   std::size_t groups_ = 0;    ///< ceil(capacity_ / kGroupWidth)
   std::size_t size_ = 0;
   std::size_t probes_ = 0;

@@ -407,12 +407,13 @@ NumericOutcome run_staged_pass(const KernelContext& ctx, const BinPlan& plan,
 }
 
 /// Size of the pre-allocated global hash map pool for rows that may not fit
-/// the largest scratchpad map (paper §4.3 "Sparse Rows of C").
+/// the largest scratchpad map (paper §4.3 "Sparse Rows of C"), at the
+/// capacity the kernels actually get (after fault injection).
 inline std::size_t global_pool_bytes(const KernelContext& ctx, const BinPlan& plan,
                               bool symbolic) {
   const KernelConfig& largest = ctx.configs->back();
-  const auto capacity = static_cast<offset_t>(
-      symbolic ? largest.symbolic_hash_capacity() : largest.numeric_hash_capacity());
+  const auto capacity = static_cast<offset_t>(ctx.effective_capacity(
+      symbolic ? largest.symbolic_hash_capacity() : largest.numeric_hash_capacity()));
   offset_t candidates = 0;
   offset_t worst = 0;
   for (const BinPlan::Block& block : plan.blocks) {

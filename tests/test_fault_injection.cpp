@@ -267,14 +267,14 @@ TEST(FaultMatrix, OomExitsPerPipelineMode) {
   // kernel with more products than its scratchpad holds, which sizes a
   // numeric global hash pool (4.5 MiB, the bulk of the peak); the always-on
   // balancer allocates its buffers before either pass. The shrunken
-  // scratchpad also spills the symbolic maps into global memory.
+  // scratchpad also spills the symbolic maps into a global pool of its own.
   const Csr skewed = gen::skewed_rows(6000, 6000, 0.002, 2000, 1, 5);
   const OomSweep balanced = sweep_memory_budget(
       PlanningMode::kExact, skewed, nullptr, [](SpeckConfig& config) {
         config.features.set_global_lb(GlobalLbMode::kAlwaysOn);
         config.faults.scratchpad_scale = 0.25;
       });
-  EXPECT_EQ(balanced.peak, 7038912u);
+  EXPECT_EQ(balanced.peak, 7825344u);
   EXPECT_EQ(balanced.exits,
             (std::set<std::string>{
                 input, "row analysis buffers exceed device memory",
@@ -335,6 +335,61 @@ TEST(FaultMatrix, OomBoundaryPerPipelineMode) {
     EXPECT_EQ(over.status, SpGemmStatus::kOutOfMemory) << mode.name;
     EXPECT_EQ(over.failure_reason, "output matrix exceeds device memory")
         << mode.name;
+  }
+}
+
+// The one exact-mode exit no sweep reaches: the radix sort's double buffer
+// is the pipeline's last transient and under 1% of this run's peak, so the
+// x0.97 steps jump over it. Rows of up to 400 entries put hash rows into
+// the kernels that sort through the device radix sort, and no global pool
+// is needed, so the sort buffer sits on top of everything resident and
+// sets the peak: every budget in [peak - sort buffer, peak) fails there.
+TEST(FaultMatrix, RadixSortOomAtItsBoundary) {
+  const Csr a = gen::power_law(4000, 4000, 16, 1.6, 400, 2);
+  SpeckConfig config;
+  config.planning = PlanningMode::kExact;
+  config.plan_cache = false;
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, config);
+  const SpGemmResult full = speck.multiply(a, a);
+  ASSERT_TRUE(full.ok()) << full.failure_reason;
+  const SpeckDiagnostics& diag = speck.last_diagnostics();
+  const std::size_t sort_bytes =
+      static_cast<std::size_t>(diag.radix_sorted_elements) *
+      (sizeof(index_t) + sizeof(value_t));
+  ASSERT_GT(sort_bytes, 0u);
+  ASSERT_EQ(diag.numeric.global_pool_bytes, 0u);
+  const std::size_t peak = full.peak_memory_bytes;
+
+  const SpGemmResult fits = run_with_budget(PlanningMode::kExact, a, nullptr, peak);
+  ASSERT_TRUE(fits.ok()) << fits.failure_reason;
+  EXPECT_TRUE(same_bytes(fits.c, full.c));
+  for (const std::size_t budget : {peak - 1, peak - sort_bytes}) {
+    const SpGemmResult over = run_with_budget(PlanningMode::kExact, a, nullptr, budget);
+    EXPECT_EQ(over.status, SpGemmStatus::kOutOfMemory) << budget;
+    EXPECT_EQ(over.failure_reason, "radix sort buffers exceed device memory") << budget;
+  }
+}
+
+// The global hash pool is sized at the scratchpad capacity the kernels get:
+// with a quarter of each scratchpad, rows of the largest kernel spill their
+// symbolic maps, and the pool they spill into is charged to device memory.
+TEST(FaultMatrix, ScaledScratchpadChargesTheGlobalPool) {
+  const Csr a = gen::skewed_rows(6000, 6000, 0.002, 2000, 1, 5);
+  for (const double scale : {1.0, 0.25}) {
+    SpeckConfig config;
+    config.planning = PlanningMode::kExact;
+    config.plan_cache = false;
+    config.faults.scratchpad_scale = scale;
+    Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, config);
+    ASSERT_TRUE(speck.multiply(a, a).ok()) << scale;
+    const PassStats& symbolic = speck.last_diagnostics().symbolic;
+    if (scale == 1.0) {
+      EXPECT_EQ(symbolic.global_inserts, 0u);
+      EXPECT_EQ(symbolic.global_pool_bytes, 0u);
+    } else {
+      EXPECT_GT(symbolic.global_inserts, 0u);
+      EXPECT_GT(symbolic.global_pool_bytes, 0u);
+    }
   }
 }
 

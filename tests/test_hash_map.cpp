@@ -1,11 +1,13 @@
 // Unit tests for the scratchpad hash-map emulation (keys, probing, overflow).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/prng.h"
 #include "sim/device_spec.h"
 #include "speck/config.h"
@@ -114,7 +116,8 @@ TEST(DeviceHashMap, FillRate) {
 
 /// Capacities whose remainders are easiest to get wrong: the smallest,
 /// powers of two and their neighbours, every kernel config's hash-map
-/// capacities on each device preset, and the largest the map accepts.
+/// capacities on each device preset with their images under the
+/// `scratchpad_scale` faults, and the largest the map accepts.
 std::vector<std::uint64_t> edge_capacities() {
   std::vector<std::uint64_t> caps = {1, 2, 3, 5, 7, 1000, UINT32_MAX - 1, UINT32_MAX};
   for (int k = 2; k <= 32; ++k) {
@@ -123,14 +126,39 @@ std::vector<std::uint64_t> edge_capacities() {
     if (p <= UINT32_MAX) caps.push_back(p);
     if (p + 1 <= UINT32_MAX) caps.push_back(p + 1);
   }
+  std::vector<FaultInjector> scales;
+  for (const double scale : {1.0, 0.5, 0.25, 0.01}) {
+    FaultSpec spec;
+    spec.scratchpad_scale = scale;
+    scales.emplace_back(spec);
+  }
   for (const auto& device : {sim::DeviceSpec::titan_v(), sim::DeviceSpec::pascal_like(),
                              sim::DeviceSpec::a100_like()}) {
     for (const KernelConfig& config : kernel_configs(device)) {
-      caps.push_back(config.symbolic_hash_capacity());
-      caps.push_back(config.numeric_hash_capacity());
+      for (const FaultInjector& scale : scales) {
+        caps.push_back(scale.scratchpad_capacity(config.symbolic_hash_capacity()));
+        caps.push_back(scale.scratchpad_capacity(config.numeric_hash_capacity()));
+      }
     }
   }
   return caps;
+}
+
+/// Hashes whose remainders are easiest to get wrong modulo `cap`, random
+/// ones, and hashes of real compound keys, narrow and wide, as the map
+/// forms them.
+std::vector<std::uint64_t> edge_hashes(std::uint64_t cap, Xoshiro256& rng) {
+  std::vector<std::uint64_t> hashes = {0, 1, cap - 1, cap, cap + 1, UINT64_MAX,
+                                       UINT64_MAX - 1, UINT64_MAX - cap,
+                                       (UINT64_MAX / cap) * cap,
+                                       (UINT64_MAX / cap) * cap - 1};
+  for (int i = 0; i < 2000; ++i) hashes.push_back(rng.next_u64());
+  for (int i = 0; i < 2000; ++i) {
+    const auto row = static_cast<int>(rng.next_below(32));
+    const auto col = static_cast<index_t>(rng.next_below(kMaxColumns32Bit));
+    hashes.push_back(compound_key(row, col, i % 2 == 0) * DeviceHashMap::kHashPrime);
+  }
+  return hashes;
 }
 
 TEST(HomeSlot, RemainderByMagicEqualsModulo) {
@@ -138,37 +166,83 @@ TEST(HomeSlot, RemainderByMagicEqualsModulo) {
   for (const std::uint64_t cap : edge_capacities()) {
     SCOPED_TRACE("capacity " + std::to_string(cap));
     const unsigned __int128 magic = remainder_magic(cap);
-    std::vector<std::uint64_t> hashes = {0, 1, cap - 1, cap, cap + 1, UINT64_MAX,
-                                         UINT64_MAX - 1, UINT64_MAX - cap,
-                                         (UINT64_MAX / cap) * cap,
-                                         (UINT64_MAX / cap) * cap - 1};
-    for (int i = 0; i < 2000; ++i) hashes.push_back(rng.next_u64());
-    // Hashes of real compound keys, narrow and wide, as the map forms them.
-    for (int i = 0; i < 2000; ++i) {
-      const auto row = static_cast<int>(rng.next_below(32));
-      const auto col = static_cast<index_t>(rng.next_below(kMaxColumns32Bit));
-      hashes.push_back(compound_key(row, col, i % 2 == 0) * DeviceHashMap::kHashPrime);
-    }
-    for (const std::uint64_t h : hashes) {
+    for (const std::uint64_t h : edge_hashes(cap, rng)) {
       ASSERT_EQ(remainder_by_magic(h, magic, cap), h % cap) << "hash " << h;
     }
   }
 }
 
+TEST(HomeSlot, MaskAndRemainderPathsEqualModulo) {
+  // HomeSlot masks for powers of two and multiplies for the rest; both
+  // paths must be the paper's remainder.
+  Xoshiro256 rng(2020);
+  std::size_t masked = 0;
+  std::size_t multiplied = 0;
+  for (const std::uint64_t cap : edge_capacities()) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    const HomeSlot home(cap);
+    EXPECT_EQ(home.pow2, std::has_single_bit(cap));
+    ++(home.pow2 ? masked : multiplied);
+    for (const std::uint64_t h : edge_hashes(cap, rng)) {
+      ASSERT_EQ(home(h), h % cap) << "hash " << h;
+    }
+  }
+  // 1, 256..8192 (titan_v numeric) and 2^31 take the mask; 3·2^k (titan_v
+  // symbolic), 13653 (a100 numeric) and the scaled images the remainder.
+  EXPECT_GT(masked, 30u);
+  EXPECT_GT(multiplied, 30u);
+  for (const std::uint64_t cap : {std::uint64_t{1}, std::uint64_t{1} << 31}) {
+    EXPECT_TRUE(HomeSlot(cap).pow2) << cap;
+    EXPECT_EQ(HomeSlot(cap)(UINT64_MAX), UINT64_MAX % cap) << cap;
+  }
+}
+
 TEST(HomeSlot, ProbeCountsFollowTheModuloHomeSlot) {
   // Keys chosen so that each one's home slot, key * prime % capacity, is
-  // free and distinct: every insert then costs exactly one probe, which
-  // holds only if the map uses that remainder as the home slot.
-  for (const std::size_t cap : {1u, 3u, 16u, 17u, 1000u, 4093u}) {
+  // free and distinct: every seed, accumulate and lookup of them then costs
+  // exactly one probe, as does a miss whose home slot is empty, which holds
+  // only if the map uses that remainder as the home slot. Powers of two
+  // (the mask path) and other capacities (the remainder path) alike.
+  for (const std::size_t cap :
+       {1u, 3u, 16u, 17u, 256u, 1000u, 4093u, 4096u, 6144u, 8192u}) {
     SCOPED_TRACE("capacity " + std::to_string(cap));
-    DeviceHashMap map(cap);
+    DeviceHashMap inserted(cap);
+    DeviceHashMap seeded(cap);
     std::set<std::uint64_t> homes;
-    std::size_t inserted = 0;
-    for (key64_t key = 0; inserted < cap / 2 + 1 && key < 100000; ++key) {
+    std::vector<key64_t> keys;
+    key64_t key = 0;
+    for (; keys.size() < cap / 2 + 1 && key < 100000; ++key) {
       if (!homes.insert(key * DeviceHashMap::kHashPrime % cap).second) continue;
-      ASSERT_TRUE(map.insert_key(key));
-      ++inserted;
-      ASSERT_EQ(map.probes(), inserted) << "key " << key;
+      keys.push_back(key);
+      ASSERT_TRUE(inserted.insert_key(key));
+      ASSERT_EQ(inserted.probes(), keys.size()) << "insert_key " << key;
+      ASSERT_TRUE(seeded.seed_key(key));
+      ASSERT_EQ(seeded.probes(), keys.size()) << "seed_key " << key;
+    }
+    // Absent keys whose home slot is still empty: each miss stops there.
+    std::vector<key64_t> absent;
+    for (; absent.size() < 8 && key < 200000; ++key) {
+      if (homes.count(key * DeviceHashMap::kHashPrime % cap) == 0) absent.push_back(key);
+    }
+    std::size_t probes = seeded.probes();
+    // Every other key is touched, so the lookups see hits and untouched seeds.
+    for (std::size_t i = 0; i < keys.size(); i += 2) {
+      ASSERT_TRUE(seeded.accumulate_if_present(keys[i], 1.0));
+      ASSERT_EQ(seeded.probes(), ++probes) << "accumulate_if_present " << keys[i];
+    }
+    for (const key64_t miss : absent) {
+      ASSERT_FALSE(seeded.accumulate_if_present(miss, 1.0));
+      ASSERT_EQ(seeded.probes(), ++probes) << "accumulate_if_present miss " << miss;
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      value_t sum = 0.0;
+      ASSERT_EQ(seeded.lookup_touched(keys[i], &sum), i % 2 == 0);
+      ASSERT_EQ(seeded.probes(), ++probes) << "lookup_touched " << keys[i];
+    }
+    for (const key64_t miss : absent) {
+      value_t sum = 0.0;
+      ASSERT_FALSE(seeded.lookup_touched(miss, &sum));
+      ASSERT_EQ(seeded.probes(), ++probes) << "lookup_touched miss " << miss;
     }
   }
 }
