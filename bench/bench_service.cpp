@@ -2,7 +2,7 @@
 // mix of fixed-pattern multiplies against one shared Speck, comparing the
 // mutex-serialized legacy replay (every request takes one global lock around
 // Speck::multiply_with_plan) with SpeckService's lock-free replay path
-// (multiply_into + leased client workspaces). Emitted as key=value / point=
+// (multiply_into + one reused buffer per client). Emitted as key=value / point=
 // lines for tools/bench_to_json; backs the checked-in BENCH_service.json.
 // The two sides' client runs alternate (bench_common.h time_paired): each
 // side runs every client's schedule in two halves, each half one whole
@@ -191,7 +191,12 @@ int main(int argc, char** argv) {
     }
 
     std::mutex legacy_mutex;  // the baseline's single global lock
+    // One response buffer per client id, kept warm across rounds and points.
+    std::vector<std::vector<value_t>> client_values;
     for (const int threads : args.threads) {
+      if (client_values.size() < static_cast<std::size_t>(threads)) {
+        client_values.resize(static_cast<std::size_t>(threads));
+      }
       const auto schedules =
           make_schedules(threads, requests, patterns.size(), zipf_s, seed);
       bench::emit_point("threads" + std::to_string(threads));
@@ -219,8 +224,8 @@ int main(int argc, char** argv) {
       };
       // Side A, the baseline: mutex-serialized legacy replay. Every client
       // takes the one lock because the legacy entry point mutates Speck
-      // member state. Side B: the service's lock-free replay into a leased
-      // client workspace.
+      // member state. Side B: the service's lock-free replay into the
+      // client's own buffer.
       const bench::PairedRatio ratio = bench::time_paired(
           2, 1,
           [&](std::size_t h) {
@@ -237,8 +242,7 @@ int main(int argc, char** argv) {
           },
           [&](std::size_t h) {
             run_clients(h, [&](std::size_t t, std::span<const std::size_t> part) {
-              WorkspacePool::Lease lease = service.client_workspaces().lease();
-              std::vector<value_t>& values = lease->replay_values();
+              std::vector<value_t>& values = client_values[t];
               for (const std::size_t p : part) {
                 const double r0 = bench::steady_seconds();
                 if (!service.multiply_into(patterns[p], patterns[p], values).ok()) {

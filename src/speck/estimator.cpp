@@ -165,8 +165,6 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
   const index_t col_cap = b.cols();
   // (1 - 1/n)^p via p * log1p(-1/n); hoisted — constant across rows.
   const double log_keep = b.cols() > 1 ? std::log1p(-1.0 / n_cols) : 0.0;
-  const auto b_offsets = b.row_offsets();
-  const auto b_col_idx = b.col_indices();
 
   pool_or_global(pool).parallel_for(
       rows, detail::kRowChunk,
@@ -177,32 +175,12 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
           const std::size_t row_len = a_cols.size();
           if (row_len == 0) continue;
 
-          // Lightweight exact analysis, identical to analyze_rows: per A
-          // entry two offset loads and the referenced row's first/last
-          // column. This is the O(nnz_A) part the paper keeps; the O(products)
-          // symbolic hashing is what the estimator below replaces. The tight
-          // column ranges matter — they are what lets the estimated numeric
-          // pass pick dense windows exactly like the exact pipeline does.
-          offset_t prod_r = 0;
-          index_t longest = 0;
-          index_t cmin = b.cols();
-          index_t cmax = -1;
-          for (const index_t col_a : a_cols) {
-            const offset_t id0 = b_offsets[static_cast<std::size_t>(col_a)];
-            const offset_t idn = b_offsets[static_cast<std::size_t>(col_a) + 1];
-            const auto len = static_cast<index_t>(idn - id0);
-            if (len > 0) {
-              cmin = std::min(cmin, b_col_idx[static_cast<std::size_t>(id0)]);
-              cmax = std::max(cmax, b_col_idx[static_cast<std::size_t>(idn - 1)]);
-            }
-            prod_r += len;
-            longest = std::max(longest, len);
-          }
-          an.products[ri] =
-              faults != nullptr ? faults->scale_estimate(r, prod_r) : prod_r;
-          an.longest_b_row[ri] = longest;
-          an.col_min[ri] = cmin == b.cols() ? 0 : cmin;
-          an.col_max[ri] = cmax < 0 ? 0 : cmax;
+          // The lightweight exact analysis of analyze_rows. This is the
+          // O(nnz_A) part the paper keeps; the O(products) symbolic hashing
+          // is what the estimator below replaces. The tight column ranges
+          // matter — they are what lets the estimated numeric pass pick
+          // dense windows exactly like the exact pipeline does.
+          const offset_t prod_r = detail::analyze_row(a, b, r, faults, an);
 
           // The sampled NNZ estimator: short rows use the exact product
           // count; long rows extrapolate from `samples` uniformly drawn
@@ -252,12 +230,7 @@ RowEstimate estimate_rows(const Csr& a, const Csr& b, const SpeckConfig& cfg,
         }
       });
 
-  for (const offset_t prod_r : an.products) {
-    an.total_products += prod_r;
-    an.max_products = std::max(an.max_products, prod_r);
-  }
-  an.avg_products =
-      a.rows() > 0 ? static_cast<double>(an.total_products) / a.rows() : 0.0;
+  detail::reduce_products(an);
 
   // Cost: the exact lightweight scan (same shape as analyze_rows — each NZ
   // of A reads its column index, the B row-offset pair and the referenced

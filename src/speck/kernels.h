@@ -99,7 +99,8 @@ struct KernelContext {
   WorkspacePool* workspaces = nullptr;
   /// Optional fault injection (may be null). Shrinks the scratchpad
   /// capacities the kernels actually get relative to what binning assumed,
-  /// and forces hash-map overflows — both only reroute rows onto the
+  /// and caps how many entries a block's scratchpad map takes before it
+  /// spills to the global map — both only reroute rows onto the spill and
   /// fallback paths; the numeric result stays exact.
   const FaultInjector* faults = nullptr;
   /// Resolved SIMD backend (never kAuto) the kernel hot loops dispatch on.
@@ -205,9 +206,6 @@ NumericOutcome run_numeric(const KernelContext& ctx, const BinPlan& plan,
 /// +0.0, then always adds — which keeps replayed values bit-identical to a
 /// full numeric pass.
 struct NumericReplayProgram {
-  /// True for programs captured from a masked plan: products whose column
-  /// is missing from the row's frozen C pattern are dropped.
-  bool masked = false;
   /// Per row of C: 1 when the row's method assigns its first product (the
   /// replay starts its slots from -0.0), 0 when it adds into zeros.
   std::vector<std::uint8_t> assign_first;

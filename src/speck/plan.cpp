@@ -202,41 +202,45 @@ std::size_t string_heap_bytes(const std::string& s) {
 
 std::size_t SpeckPlan::byte_size() const {
   // Allocated (capacity-based) footprint of everything a cached plan pins:
-  // planning state, the C pattern arrays, the replay start bits, the captured
-  // diagnostics tail and the replay trace including each launch's name
-  // string. The size-based accounting this replaces undercounted all of the
-  // heap slack plus every string, which let the plan-cache byte budget admit
-  // more than it was configured for.
+  // the C pattern arrays, the replay start bits, the captured diagnostics
+  // tail and the replay trace including each launch's name string. The
+  // size-based accounting this replaces undercounted all of the heap slack
+  // plus every string, which let the plan-cache byte budget admit more than
+  // it was configured for.
   std::size_t trace_bytes = replay_trace.capacity() * sizeof(sim::LaunchResult);
   for (const sim::LaunchResult& launch : replay_trace) {
     trace_bytes += string_heap_bytes(launch.name);
   }
-  return sizeof(SpeckPlan) + analysis.byte_size() + symbolic_plan.byte_size() +
-         numeric_plan.byte_size() + row_nnz.capacity() * sizeof(index_t) +
-         c_row_offsets.capacity() * sizeof(offset_t) +
+  return sizeof(SpeckPlan) + c_row_offsets.capacity() * sizeof(offset_t) +
          c_col_indices.capacity() * sizeof(index_t) + program.byte_size() +
          trace_bytes + string_heap_bytes(incomplete_reason) +
          string_heap_bytes(diagnostics.plan_fallback_reason);
 }
 
 std::size_t estimate_plan_bytes(const Csr& a, const Csr& b) {
-  // Upper bound on the arrays a plan for (a, b) will pin, computable before
-  // any planning work: the C pattern holds at most one entry per
-  // intermediate product plus the row offsets; per row there are the
-  // analysis (products, longest B row, column range), both bin plans' row
-  // orders and blocks (at most one block per row each), row_nnz and the
-  // replay start bit. Mismatched operands are charged nothing: the pipeline
-  // rejects them.
+  // Upper bound on what a plan for (a, b) will pin, computable before any
+  // planning work: the C pattern holds at most one entry per intermediate
+  // product plus the row offsets, and each row has one replay start bit.
+  // The replay trace holds one numeric launch per kernel config (at most
+  // six, kernel_configs) plus one radix-sort or exact-fallback launch, and
+  // no launch name ("numeric_masked/1024", "numeric_est_fallback") spills
+  // more than 32 bytes. The diagnostics tail is a fixed-size member; its
+  // reason strings, charged by byte_size, stay empty on a complete plan, and
+  // the bound leaves them 64 bytes each. Mismatched operands are charged
+  // nothing: the pipeline rejects them.
+  constexpr std::size_t kMaxReplayLaunches = 8;
+  constexpr std::size_t kMaxLaunchNameBytes = 32;
+  constexpr std::size_t kDiagnosticsTailBytes = 2 * 64;
   if (a.cols() != b.rows()) return sizeof(SpeckPlan);
   const auto products = static_cast<std::size_t>(count_products(a, b));
   const auto rows = static_cast<std::size_t>(a.rows());
   const std::size_t pattern_bytes =
       products * sizeof(index_t) + (rows + 1) * sizeof(offset_t);
-  const std::size_t per_row_bytes =
-      sizeof(offset_t) + 3 * sizeof(index_t) +
-      2 * (sizeof(index_t) + sizeof(BinPlan::Block)) + sizeof(index_t) +
-      sizeof(std::uint8_t);
-  return sizeof(SpeckPlan) + pattern_bytes + rows * per_row_bytes;
+  const std::size_t start_bits = rows * sizeof(std::uint8_t);
+  const std::size_t trace_bytes =
+      kMaxReplayLaunches * (sizeof(sim::LaunchResult) + kMaxLaunchNameBytes);
+  return sizeof(SpeckPlan) + pattern_bytes + start_bits + trace_bytes +
+         kDiagnosticsTailBytes;
 }
 
 }  // namespace speck

@@ -2,12 +2,11 @@
 // with a fixed sparsity pattern.
 //
 // Iterative workloads (AMG setup, graph contraction, Newton steps) multiply
-// the *same* pattern dozens of times with changing values. Everything spECK
-// derives from structure alone — the row analysis, both load-balancer
-// decisions, the per-block kernel plans, the exact pattern of C and its sort
-// order — is captured here once, so subsequent multiplies run a values-only
-// replay that skips analysis, global load balancing, the symbolic pass and
-// sorting entirely (the cost model then charges only the numeric kernels,
+// the *same* pattern dozens of times with changing values. What a replay
+// needs of spECK's structure-only work — the exact pattern of C in its sorted
+// order and one start bit per row — is captured here once, so subsequent
+// multiplies run a values-only replay that skips analysis, global load
+// balancing, the symbolic pass and sorting entirely (the cost model then charges only the numeric kernels,
 // mirroring the amortizable share of Fig. 11's stage split). The plan
 // carries a structural fingerprint so a stale plan is detected and falls
 // back to the full pipeline instead of producing wrong values.
@@ -22,7 +21,6 @@
 #include "speck/config.h"
 #include "speck/global_lb.h"
 #include "speck/kernels.h"
-#include "speck/row_analysis.h"
 
 namespace speck {
 
@@ -115,8 +113,8 @@ struct SpeckDiagnostics {
   /// True when the multiply ran the values-only replay of a SpeckPlan
   /// instead of the full pipeline.
   bool plan_used = false;
-  /// True when the replay was triggered by Speck's transparent single-slot
-  /// plan cache (as opposed to an explicit multiply_with_plan call).
+  /// True when the replay was triggered by Speck's transparent LRU plan
+  /// cache (as opposed to an explicit multiply_with_plan call).
   bool plan_cache_hit = false;
   /// True when multiply_with_plan rejected its plan (stale fingerprint,
   /// incomplete plan) and fell back to the full pipeline.
@@ -141,10 +139,12 @@ struct SpeckDiagnostics {
   PartitionDiag partition;
 };
 
-/// Frozen pattern-dependent state of one (A, B, config) structure: the full
-/// planning output plus the exact pattern of C and the per-row start bits of
-/// its values-only replay. Build with Speck::plan(); consume with Speck::multiply_with_plan()
-/// — or let Speck's transparent cache do both.
+/// Frozen pattern-dependent state of one (A, B, config) structure: what its
+/// values-only replay reads — the exact pattern of C, the per-row start bits
+/// and the full run's observables. The planning state that produced them
+/// (row analysis, bin plans, symbolic row counts) is an input to one
+/// multiply and is not kept. Build with Speck::plan(); consume with
+/// Speck::multiply_with_plan() — or let Speck's transparent cache do both.
 struct SpeckPlan {
   PlanFingerprint fingerprint;
 
@@ -152,14 +152,6 @@ struct SpeckPlan {
   /// multiply_with_plan then falls back.
   bool complete = false;
   std::string incomplete_reason;
-
-  // Planning state (structure-only), kept for introspection and so the
-  // executor can keep serving its numeric re-execution interface.
-  RowAnalysis analysis;
-  BinPlan symbolic_plan;
-  BinPlan numeric_plan;
-  std::vector<index_t> row_nnz;  ///< exact NNZ per row of C
-  bool wide_keys = false;
 
   /// The exact pattern of C from the symbolic + numeric passes, already in
   /// final (sorted) order — replays write values straight into it.
@@ -183,17 +175,13 @@ struct SpeckPlan {
   /// Speck::last_trace() on every reuse.
   std::vector<sim::LaunchResult> replay_trace;
 
-  /// Simulated seconds of the stages a replay skips (analysis + symbolic LB
-  /// + symbolic + numeric LB): what one reuse amortizes away.
-  double inspect_seconds = 0.0;
-
   offset_t c_nnz() const {
     return c_row_offsets.empty() ? 0 : c_row_offsets.back();
   }
 
-  /// Allocated host-memory footprint of the full cached plan — planning
-  /// state, C pattern arrays, replay start bits, captured diagnostics tail and
-  /// replay trace (capacity-based; drives the plan cache's byte budget).
+  /// Allocated host-memory footprint of the full cached plan — C pattern
+  /// arrays, replay start bits, captured diagnostics tail and replay trace
+  /// (capacity-based; drives the plan cache's byte budget).
   std::size_t byte_size() const;
 };
 

@@ -16,9 +16,6 @@ RowAnalysis analyze_rows(const Csr& a, const Csr& b, sim::Launch& launch,
   out.col_min.assign(static_cast<std::size_t>(a.rows()), 0);
   out.col_max.assign(static_cast<std::size_t>(a.rows()), 0);
 
-  const auto b_offsets = b.row_offsets();
-  const auto b_cols = b.col_indices();
-
   // Device execution: parallel over the NZ of A, 1024 threads per block.
   const int block_threads = launch.device().max_threads_per_block;
   const auto nnz_a = static_cast<std::size_t>(a.nnz());
@@ -27,42 +24,15 @@ RowAnalysis analyze_rows(const Csr& a, const Csr& b, sim::Launch& launch,
 
   // Each row writes only its own preallocated slots, so the rows can be
   // scanned in parallel chunks; the totals are reduced from the per-row
-  // results afterwards (integer sum/max — order-independent).
+  // results afterwards.
   pool_or_global(pool).parallel_for(
       static_cast<std::size_t>(a.rows()), detail::kRowChunk,
       [&](std::size_t begin, std::size_t end, int) {
         for (std::size_t ri = begin; ri < end; ++ri) {
-          const auto r = static_cast<index_t>(ri);
-          offset_t prod_r = 0;
-          index_t longest = 0;
-          index_t cmin = b.cols();
-          index_t cmax = -1;
-          for (const index_t col_a : a.row_cols(r)) {
-            const offset_t id0 = b_offsets[static_cast<std::size_t>(col_a)];
-            const offset_t idn = b_offsets[static_cast<std::size_t>(col_a) + 1];
-            const auto len = static_cast<index_t>(idn - id0);
-            if (len > 0) {
-              cmin = std::min(cmin, b_cols[static_cast<std::size_t>(id0)]);
-              cmax = std::max(cmax, b_cols[static_cast<std::size_t>(idn - 1)]);
-            }
-            prod_r += len;
-            longest = std::max(longest, len);
-          }
-          // Fault injection perturbs the *estimate* only: planning consumes
-          // it, but symbolic/numeric correctness never depends on it.
-          out.products[ri] =
-              faults != nullptr ? faults->scale_estimate(r, prod_r) : prod_r;
-          out.longest_b_row[ri] = longest;
-          out.col_min[ri] = cmin == b.cols() ? 0 : cmin;
-          out.col_max[ri] = cmax < 0 ? 0 : cmax;
+          detail::analyze_row(a, b, static_cast<index_t>(ri), faults, out);
         }
       });
-  for (const offset_t prod_r : out.products) {
-    out.total_products += prod_r;
-    out.max_products = std::max(out.max_products, prod_r);
-  }
-  out.avg_products =
-      a.rows() > 0 ? static_cast<double>(out.total_products) / a.rows() : 0.0;
+  detail::reduce_products(out);
 
   // Cost: each NZ of A reads its column index (coalesced), the B row offset
   // pair and the first/last column of the referenced row. Column indices

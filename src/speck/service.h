@@ -8,8 +8,8 @@
 //  - a sharded LRU PlanCache keyed by full structural fingerprint; hits
 //    hand out immutable shared_ptr<const SpeckPlan> references,
 //  - a lock-free replay path: cache hits run Speck's const, member-state-
-//    free replay on the calling thread (per-client leased workspaces, no
-//    global lock, zero steady-state heap allocations via multiply_into),
+//    free replay on the calling thread (no global lock, zero steady-state
+//    heap allocations via multiply_into into a client-owned buffer),
 //  - a single planning mutex only on the miss path (building a plan runs
 //    the full mutable pipeline; the planning run's own result serves the
 //    first request, so nothing is computed twice),
@@ -55,7 +55,6 @@
 #include "common/fault_injection.h"
 #include "speck/plan_cache.h"
 #include "speck/speck.h"
-#include "speck/workspace.h"
 
 namespace speck {
 
@@ -241,11 +240,6 @@ class SpeckService {
   std::shared_ptr<const SpeckPlan> plan_for(const Csr& a, const Csr& b,
                                             Status* status = nullptr);
 
-  /// Leasable workspace pool for client-side staging buffers (speckd and
-  /// bench_service lease one workspace per in-flight request and replay
-  /// into its replay_values() buffer).
-  WorkspacePool& client_workspaces() { return client_workspaces_; }
-
   ServiceStats stats() const;
   PlanCache& cache() { return cache_; }
   MemoryBudget& budget() { return budget_; }
@@ -319,7 +313,6 @@ class SpeckService {
   ServiceConfig config_;
   PlanCache cache_;
   MemoryBudget budget_;
-  WorkspacePool client_workspaces_;
   /// Serializes the full pipeline on misses; timed so deadline-bounded
   /// requests can give up instead of convoying behind a slow build.
   std::timed_mutex plan_mutex_;

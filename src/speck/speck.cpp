@@ -342,13 +342,6 @@ class Speck::PipelineRun {
 
   /// Freezes the completed run's structure state into `plan`.
   void capture(SpeckPlan& plan, bool steal_pattern) {
-    plan.wide_keys = ctx_.wide_keys;
-    // The plan stores the *actual* exact row counts. The replay start bits
-    // re-derive method selection from the row sizes binning ran off — the
-    // estimates in estimated mode, exactly what the estimated pass
-    // executed — which is what keeps replays bit-identical.
-    plan.row_nnz = source_ == RowSizes::kSymbolic ? std::move(row_sizes_)
-                                                   : std::move(numeric_.row_nnz);
     if (steal_pattern) {
       // The caller promised to discard the result: take the pattern arrays
       // instead of copying them (the values are dropped either way).
@@ -362,23 +355,20 @@ class Speck::PipelineRun {
       plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
     }
     // Masked rows all add into zeros; unmasked rows start from the method
-    // re-derived off the row sizes binning ran off.
+    // re-derived off the row sizes binning ran off — the estimates in
+    // estimated mode, exactly what the estimated pass executed — which is
+    // what keeps replays bit-identical.
     NumericReplayProgram& program = plan.program;
-    program.masked = ctx_.mask != nullptr;
     program.products = static_cast<std::size_t>(count_products(a_, b_));
     program.assign_first.assign(static_cast<std::size_t>(a_.rows()), 0);
-    if (!program.masked) {
-      const std::vector<RowMethod> methods = detail::row_methods(
-          ctx_, numeric_plan_,
-          source_ == RowSizes::kSymbolic ? plan.row_nnz : row_sizes_);
+    if (ctx_.mask == nullptr) {
+      const std::vector<RowMethod> methods =
+          detail::row_methods(ctx_, numeric_plan_, row_sizes_);
       for (std::size_t r = 0; r < methods.size(); ++r) {
         program.assign_first[r] = methods[r] != RowMethod::kDense ? 1 : 0;
       }
     }
     plan.complete = true;
-    plan.analysis = std::move(rows_.analysis);
-    plan.symbolic_plan = std::move(symbolic_plan_);
-    plan.numeric_plan = std::move(numeric_plan_);
     plan.diagnostics = diag_;
     plan.numeric_seconds = numeric_.stats.seconds;
     plan.sorting_seconds = numeric_.sorting_seconds;
@@ -386,7 +376,6 @@ class Speck::PipelineRun {
     plan.replay_trace.assign(
         launches.begin() + static_cast<std::ptrdiff_t>(trace_mark_),
         launches.end());
-    plan.inspect_seconds = inspect_seconds();
   }
 
   /// Simulated seconds of the stages before the numeric pass.

@@ -13,22 +13,6 @@ void WorkspacePool::ensure(int workers) {
   }
 }
 
-WorkspacePool::Lease WorkspacePool::lease() {
-  std::lock_guard<std::mutex> lock(lease_mutex_);
-  if (!idle_.empty()) {
-    KernelWorkspace* ws = idle_.back();
-    idle_.pop_back();
-    return Lease(this, ws);
-  }
-  slots_.push_back(std::make_unique<KernelWorkspace>());
-  return Lease(this, slots_.back().get());
-}
-
-void WorkspacePool::release(KernelWorkspace* ws) {
-  std::lock_guard<std::mutex> lock(lease_mutex_);
-  idle_.push_back(ws);
-}
-
 void PartitionWorkspaces::ensure(int teams, int slots_per_team) {
   SPECK_REQUIRE(teams >= 1, "partition workspaces need at least one team");
   while (teams_.size() < static_cast<std::size_t>(teams)) {

@@ -13,7 +13,7 @@
 // every block executes without a single heap allocation.
 //
 // The pool is owned by the Speck instance and survives across multiplies,
-// which is what makes repeated executor/iterative workloads (AMG, Markov
+// which is what makes repeated iterative workloads (AMG, Markov
 // chains) allocation-free in the steady state. Reuse across thread counts is
 // safe: the pool only ever grows, and block-to-worker assignment never
 // influences results (chunk boundaries are a pure function of the range).
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -104,11 +103,6 @@ class KernelWorkspace {
     return colmap_;
   }
 
-  /// Output-value staging buffer for service clients replaying a plan into
-  /// borrowed storage (SpeckService::multiply_into). Grows monotonically
-  /// like every other member, so steady-state replays stay allocation-free.
-  std::vector<value_t>& replay_values() { return replay_values_; }
-
   /// Estimated numeric merge pass: the epoch tag array that makes colmap()
   /// O(1)-resettable per row (an entry is live only when its epoch matches
   /// the current row's stamp, see next_stamp), sized to B's column count,
@@ -127,46 +121,16 @@ class KernelWorkspace {
   std::uint32_t sweep_stamp_counter_ = 0;
   DenseScratch dense_;
   std::vector<std::uint32_t> colmap_;
-  std::vector<value_t> replay_values_;
   std::vector<std::uint32_t> estimate_epoch_;
   std::uint32_t estimate_epoch_counter_ = 0;
 };
 
-/// Lazily grown set of workspaces indexed by thread-pool worker id.
-/// unique_ptr slots keep workspace addresses stable across growth.
-///
-/// Two access modes share the pool:
-///  - indexed (`ensure` + `at`): one caller drives a parallel_for; worker
-///    ids partition the slots, no locking needed — the original hot path.
-///  - leased (`lease`): many concurrent service clients each check out a
-///    whole workspace RAII-style; a mutex guards only the free-list
-///    push/pop, never the workspace use itself. A pool must stick to one
-///    mode at a time (the service keeps a dedicated client pool).
+/// Lazily grown set of workspaces indexed by thread-pool worker id: one
+/// caller drives a parallel_for and worker ids partition the slots, so no
+/// locking is needed. unique_ptr slots keep workspace addresses stable
+/// across growth.
 class WorkspacePool {
  public:
-  /// Exclusive RAII checkout of one workspace; returns it on destruction.
-  class Lease {
-   public:
-    Lease(WorkspacePool* pool, KernelWorkspace* ws) : pool_(pool), ws_(ws) {}
-    ~Lease() {
-      if (pool_ != nullptr) pool_->release(ws_);
-    }
-    Lease(Lease&& o) noexcept : pool_(o.pool_), ws_(o.ws_) {
-      o.pool_ = nullptr;
-      o.ws_ = nullptr;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-
-    KernelWorkspace& operator*() const { return *ws_; }
-    KernelWorkspace* operator->() const { return ws_; }
-
-   private:
-    WorkspacePool* pool_;
-    KernelWorkspace* ws_;
-  };
-
   /// Guarantees workspaces for worker ids [0, workers). Never shrinks, so
   /// switching between thread counts keeps warm buffers.
   void ensure(int workers);
@@ -176,16 +140,8 @@ class WorkspacePool {
 
   int size() const { return static_cast<int>(slots_.size()); }
 
-  /// Checks out an idle workspace (most-recently-returned first, for warm
-  /// buffers), growing the pool when all are busy. Thread-safe.
-  Lease lease();
-
  private:
-  void release(KernelWorkspace* ws);
-
   std::vector<std::unique_ptr<KernelWorkspace>> slots_;
-  std::mutex lease_mutex_;
-  std::vector<KernelWorkspace*> idle_;  ///< LIFO free list; guarded above
 };
 
 /// Partition-local workspace pools for the two-level executor

@@ -59,6 +59,19 @@ TEST(PlanBytes, ByteSizeMatchesMeasuredHeapFootprint) {
   }
 }
 
+/// The admission estimate must dominate the C pattern + replay start bits it
+/// predicts, and the whole plan, so a structure it admits can be retained.
+void expect_estimate_bounds_plan(const SpeckPlan& plan, const Csr& a, const Csr& b,
+                                 const char* what) {
+  ASSERT_TRUE(plan.complete) << what << ": " << plan.incomplete_reason;
+  const std::size_t estimate = estimate_plan_bytes(a, b);
+  const std::size_t pattern_bytes =
+      plan.c_row_offsets.capacity() * sizeof(offset_t) +
+      plan.c_col_indices.capacity() * sizeof(index_t);
+  EXPECT_GE(estimate, plan.program.byte_size() + pattern_bytes) << what;
+  EXPECT_GE(estimate, plan.byte_size()) << what;
+}
+
 TEST(PlanBytes, EstimateIsAnAdmissionSafeUpperBoundOnTheProgram) {
   // Banded, one product per C entry (no slack in the pattern bound), and
   // rows too long to merge (one block per row).
@@ -67,21 +80,47 @@ TEST(PlanBytes, EstimateIsAnAdmissionSafeUpperBoundOnTheProgram) {
                         gen::random_uniform(500, 500, 64, 25)};
   for (const Csr& a : inputs) {
     Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
-    SpeckPlan plan = sp.plan(a, a);
-    ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
-
-    const std::size_t estimate = estimate_plan_bytes(a, a);
-    // The estimate is what admission control charges before planning; it
-    // must dominate the C pattern + replay start bits it predicts, and the
-    // whole plan, so a structure it admits can be retained.
-    const std::size_t pattern_bytes =
-        plan.c_row_offsets.capacity() * sizeof(offset_t) +
-        plan.c_col_indices.capacity() * sizeof(index_t);
-    EXPECT_GE(estimate, plan.program.byte_size() + pattern_bytes);
-    EXPECT_GE(estimate, plan.byte_size());
+    const SpeckPlan plan = sp.plan(a, a);
+    expect_estimate_bounds_plan(plan, a, a, "exact");
     // ...and stay within an order of magnitude of the true footprint so the
     // budget is useful, not just safe.
-    EXPECT_LT(estimate, 10u * plan.byte_size());
+    EXPECT_LT(estimate_plan_bytes(a, a), 10u * plan.byte_size());
+  }
+
+  SpeckConfig exact;
+  exact.planning = PlanningMode::kExact;
+  SpeckConfig estimated;
+  estimated.planning = PlanningMode::kEstimated;
+  // Underflowed estimates add the exact-fallback launch to the replay trace.
+  SpeckConfig underflow = estimated;
+  underflow.faults.estimator_scale = 0.25;
+
+  // A reduced copy of the fixed-pattern iteration set: stencils, banded and
+  // power-law, plus an empty matrix and a 1-row product.
+  const Csr shapes[] = {gen::stencil_2d(40, 40),
+                        gen::stencil_3d(8),
+                        gen::banded(1500, 50, 12, 31),
+                        gen::banded(800, 100, 10, 33),
+                        gen::power_law(1000, 1000, 6, 2.0, 100, 35),
+                        Csr::zeros(64, 64)};
+  for (const SpeckConfig* cfg : {&exact, &estimated, &underflow}) {
+    SCOPED_TRACE(cfg == &exact ? "exact" : cfg == &estimated ? "estimated" : "underflow");
+    for (const Csr& a : shapes) {
+      Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, *cfg);
+      expect_estimate_bounds_plan(sp.plan(a, a), a, a, "square");
+      // Masked by the operand's own pattern.
+      expect_estimate_bounds_plan(sp.plan_masked(a, a, a), a, a, "masked");
+    }
+    const Csr row = gen::random_uniform(1, 400, 40, 37);
+    const Csr b = gen::random_uniform(400, 400, 8, 39);
+    Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, *cfg);
+    expect_estimate_bounds_plan(sp.plan(row, b), row, b, "1-row");
+    // Times the identity: one product per C entry, so the pattern bound has
+    // no slack, while the row lengths spread over every kernel config and
+    // the replay trace holds one launch per config.
+    const Csr skewed = gen::power_law(2000, 2000, 12, 1.6, 1500, 41);
+    const Csr eye = Csr::identity(2000);
+    expect_estimate_bounds_plan(sp.plan(skewed, eye), skewed, eye, "identity");
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the structure-reuse fast path: Speck::plan /
-// Speck::multiply_with_plan and the transparent single-slot plan cache.
+// Speck::multiply_with_plan and the transparent LRU plan cache.
 //
 // The replay must be *bit-identical* to the full pipeline — same CSR bytes,
 // same PassStats counters — at any thread count, including under forced
@@ -493,9 +493,15 @@ TEST(PlanReuse, InspectPlusReplayCoversFullMultiply) {
   ASSERT_TRUE(whole.ok());
   EXPECT_LT(repeated.seconds, whole.seconds)
       << "replay must skip analysis/symbolic/load-balancing time";
-  EXPECT_GT(plan.inspect_seconds, 0.0);
+  // What a replay skips: the stages before the numeric pass.
+  const sim::StageTimeline& t = whole.timeline;
+  const double inspect_seconds = t.seconds(sim::Stage::kAnalysis) +
+                                 t.seconds(sim::Stage::kSymbolicLoadBalance) +
+                                 t.seconds(sim::Stage::kSymbolic) +
+                                 t.seconds(sim::Stage::kNumericLoadBalance);
+  EXPECT_GT(inspect_seconds, 0.0);
   // The amortized split covers the whole pipeline.
-  EXPECT_NEAR(plan.inspect_seconds + repeated.seconds, whole.seconds,
+  EXPECT_NEAR(inspect_seconds + repeated.seconds, whole.seconds,
               whole.seconds * 0.25);
 }
 
@@ -524,7 +530,7 @@ TEST(PlanReuse, PlanRecordsRectangularFingerprint) {
   EXPECT_EQ(plan.fingerprint.a_cols, 500);
   EXPECT_EQ(plan.fingerprint.b_cols, 60);
   EXPECT_EQ(plan.fingerprint.a_nnz, a.nnz());
-  EXPECT_EQ(static_cast<index_t>(plan.row_nnz.size()), a.rows());
+  EXPECT_EQ(static_cast<index_t>(plan.program.assign_first.size()), a.rows());
 }
 
 }  // namespace

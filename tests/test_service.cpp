@@ -321,36 +321,6 @@ TEST(ServiceStress, EvictionChurnUnderTightCacheBudgetStaysCorrect) {
   EXPECT_LE(stats.cache.bytes, cfg.cache_limit_bytes);
 }
 
-TEST(ServiceWorkspaces, LeasesReuseLifoAndGrowUnderContention) {
-  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
-  SpeckService svc(sp);
-  WorkspacePool& pool = svc.client_workspaces();
-
-  KernelWorkspace* first = nullptr;
-  {
-    WorkspacePool::Lease lease = pool.lease();
-    first = &*lease;
-    lease->replay_values().resize(1024);
-  }
-  {
-    // Sequential re-lease hands back the same warm workspace.
-    WorkspacePool::Lease lease = pool.lease();
-    EXPECT_EQ(&*lease, first);
-    EXPECT_GE(lease->replay_values().capacity(), 1024u);
-  }
-  EXPECT_EQ(pool.size(), 1);
-
-  {
-    WorkspacePool::Lease a = pool.lease();
-    WorkspacePool::Lease b = pool.lease();
-    WorkspacePool::Lease c = pool.lease();
-    EXPECT_NE(&*a, &*b);
-    EXPECT_NE(&*b, &*c);
-    EXPECT_NE(&*a, &*c);
-  }
-  EXPECT_EQ(pool.size(), 3);
-}
-
 TEST(ServiceDeadlines, ExpiredDeadlineIsRejectedAtAdmission) {
   Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
   SpeckService svc(sp);

@@ -2,6 +2,8 @@
 // binning, reported without touching the instance's last diagnostics.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gen/generators.h"
 #include "ref/gustavson.h"
 #include "speck/speck.h"
@@ -30,15 +32,22 @@ TEST(SymbolicEstimate, MatchesExactPipelinePrefix) {
   cfg.planning = PlanningMode::kExact;
   Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
   const Csr a = gen::power_law(600, 600, 8, 1.8, 150, 1905);
-  const SpeckPlan plan = speck.plan(a, a);
-  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  const SpGemmResult full = speck.multiply(a, a);
+  ASSERT_TRUE(full.ok()) << full.failure_reason;
+  const offset_t products = speck.last_diagnostics().products;
   const std::size_t launches = speck.last_trace().launches().size();
   const SymbolicEstimate estimate = symbolic_estimate(speck, a, a);
   // The same stages as a full multiply up to numeric binning, charged alike.
-  EXPECT_EQ(estimate.row_nnz, plan.row_nnz);
-  EXPECT_EQ(estimate.c_nnz, plan.c_nnz());
-  EXPECT_EQ(estimate.products, plan.analysis.total_products);
-  EXPECT_EQ(estimate.seconds, plan.inspect_seconds);
+  std::vector<index_t> c_row_nnz;
+  for (index_t r = 0; r < full.c.rows(); ++r) c_row_nnz.push_back(full.c.row_length(r));
+  EXPECT_EQ(estimate.row_nnz, c_row_nnz);
+  EXPECT_EQ(estimate.c_nnz, full.c.nnz());
+  EXPECT_EQ(estimate.products, products);
+  const sim::StageTimeline& t = full.timeline;
+  EXPECT_EQ(estimate.seconds, t.seconds(sim::Stage::kAnalysis) +
+                                  t.seconds(sim::Stage::kSymbolicLoadBalance) +
+                                  t.seconds(sim::Stage::kSymbolic) +
+                                  t.seconds(sim::Stage::kNumericLoadBalance));
   // The estimate leaves the last multiply's trace alone.
   EXPECT_EQ(speck.last_trace().launches().size(), launches);
 }

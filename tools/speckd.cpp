@@ -216,10 +216,8 @@ PhaseResult run_phase(SpeckService& service, const std::vector<Csr>& patterns,
       PhaseResult& mine = per_thread[t];
       Xoshiro256 rng(opts.seed + static_cast<std::uint64_t>(t) * 7919u);
       mine.all_lat.reserve(opts.requests);
-      // Each client leases one workspace: its replay_values() vector is
-      // the reused response buffer (zero allocations once warm).
-      WorkspacePool::Lease lease = service.client_workspaces().lease();
-      std::vector<value_t>& buf = lease->replay_values();
+      // Each client reuses one response buffer (zero allocations once warm).
+      std::vector<value_t> buf;
       for (std::size_t i = 0; i < opts.requests; ++i) {
         const std::size_t p = static_cast<std::size_t>(
             std::lower_bound(cdf.begin(), cdf.end(), rng.next_double()) -
